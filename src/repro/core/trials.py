@@ -254,8 +254,7 @@ class BlockCountStatistic:
     """The Figure 2/3 Monte-Carlo statistic: :math:`|C_n(S)|` per prefix.
 
     Implements the :class:`TrialStatistic` protocol; ``batch`` evaluates
-    a whole trial ensemble in ``len(prefixes)`` masked passes over one
-    matrix.
+    every prefix of a whole trial ensemble in one pass over its matrix.
     """
 
     prefixes: Tuple[int, ...]
@@ -295,8 +294,9 @@ class IntersectionStatistic:
     :math:`|C_n(S) \\cap C_n(R_{present})|` per prefix.
 
     Implements the :class:`TrialStatistic` protocol against precomputed
-    present-report block sets; ``batch`` evaluates a whole trial
-    ensemble with one searchsorted pass per prefix.
+    present-report block sets (``cidr_set(present, n)`` per prefix: the
+    sets must nest); ``batch`` evaluates every prefix of a whole trial
+    ensemble in one pass over its matrix.
     """
 
     prefixes: Tuple[int, ...]
@@ -352,7 +352,7 @@ class CoveredCountStatistic:
     statistic asks how many of the target report's addresses its blocks
     would catch.  Target addresses are pre-aggregated into
     ``(blocks, multiplicities)`` per prefix so the batched evaluation is
-    one weighted-intersection pass per prefix.
+    one weighted-intersection pass over the matrix.
     """
 
     prefixes: Tuple[int, ...]

@@ -76,9 +76,12 @@ def as_str(address: AddressLike) -> str:
 def as_array(addresses: Iterable[AddressLike]) -> np.ndarray:
     """Convert an iterable of addresses to a ``uint32`` numpy array.
 
-    A numpy integer array passes through with only a range check and a
-    dtype cast, so bulk paths stay cheap.
+    A ``uint32`` array is returned as is (it cannot leave the IPv4
+    range); any other numpy integer array passes through a range check
+    and a dtype cast, so bulk paths stay cheap.
     """
+    if isinstance(addresses, np.ndarray) and addresses.dtype == np.uint32:
+        return addresses
     if isinstance(addresses, np.ndarray) and addresses.dtype.kind in "iu":
         arr = addresses.astype(np.int64, copy=False)
         if arr.size and (arr.min() < 0 or arr.max() > MAX_ADDRESS):

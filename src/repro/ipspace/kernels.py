@@ -9,12 +9,15 @@ numpy passes instead of a per-trial Python loop.
 
 All kernels take a ``(trials, cardinality)`` ``uint32`` matrix whose
 **rows are sorted ascending**.  One row-sort pays for every prefix
-length: prefix masking is monotone (``x <= y`` implies
-``x & m <= y & m`` for any prefix mask ``m``), so a row sorted at /32
-stays sorted after masking at any shorter prefix and distinct blocks can
-be counted with a single neighbour-comparison pass — the rectangular
-analogue of the lexsort/segment machinery in
-:mod:`repro.flows.kernels`, with the row axis playing the segment role.
+length.  The values sharing their first n bits with ``x`` form an
+interval around ``x``, so in a sorted row a cell starts a new /n block
+iff its common prefix length (lcp) with its left neighbour is below n —
+and that length, ``32 - bit_length(x ^ left)``, is one number per cell
+for all prefixes at once.  :func:`block_counts_2d` and
+:func:`intersection_counts_2d` turn each cell into the interval of
+prefix lengths it counts at and histogram the intervals per row: one
+pass over the matrix, in chunks of :data:`ROW_CHUNK` rows, for all 17
+prefixes of the paper's figures.
 
 Rows may contain duplicate addresses (a duplicate never starts a new
 block, so unique-block counts come out right); empty matrices — zero
@@ -27,6 +30,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.ipspace.addr import prefix_mask
 from repro.ipspace.cidr import mask_array
 from repro.obs import metrics as obs_metrics
 
@@ -39,9 +43,14 @@ __all__ = [
     "merge_unique",
     "remove_sorted",
     "merge_sorted_rows",
-    "block_counts_2d_merge",
-    "intersection_counts_2d_merge",
 ]
+
+#: Rows per pass: keeps every temporary at ``ROW_CHUNK x cardinality``
+#: cells (a few MB at paper scale) however many trials the matrix holds.
+ROW_CHUNK = 64
+#: Prefix-interval endpoints 0..33: a cell counts at the prefix lengths
+#: ``start <= n < end``, and 33 means "past /32".
+_BINS = 34
 
 
 def sorted_rows(matrix: np.ndarray) -> np.ndarray:
@@ -60,16 +69,103 @@ def _check_matrix(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _first_in_row(masked: np.ndarray) -> np.ndarray:
-    """Mask marking each row's first occurrence of every distinct value.
+def _bit_length(values: np.ndarray) -> np.ndarray:
+    """Element-wise ``int.bit_length`` of a ``uint32`` array, as ``int32``.
 
-    ``masked`` must be row-sorted; position 0 always starts a block, and
-    any later position does iff it differs from its left neighbour.
+    ``frexp`` writes each value, exactly representable in ``float64``,
+    as ``m * 2**e`` with ``0.5 <= m < 1``: ``e`` is the bit length (0
+    for 0).  The common prefix length of ``x`` and ``y`` is then
+    ``32 - _bit_length(x ^ y)``.
     """
-    first = np.empty(masked.shape, dtype=bool)
-    first[:, :1] = True
-    np.not_equal(masked[:, 1:], masked[:, :-1], out=first[:, 1:])
-    return first
+    return np.frexp(values)[1]
+
+
+def _check_prefixes(prefixes: Sequence[int]) -> np.ndarray:
+    for n in prefixes:
+        prefix_mask(n)  # raises on a length outside 0..32
+    return np.asarray(prefixes, dtype=np.intp)
+
+
+def _block_starts(chunk: np.ndarray) -> np.ndarray:
+    """The shortest prefix length at which each cell starts a block.
+
+    In a sorted row a cell opens a new /n block iff its common prefix
+    with its left neighbour is shorter than n, i.e. iff
+    ``n >= 1 + lcp``; the first cell of a row opens one at every n.
+    A duplicate gets 33: it never starts a block.
+    """
+    starts = np.zeros(chunk.shape, dtype=np.int32)
+    np.subtract(
+        _BINS - 1, _bit_length(chunk[:, 1:] ^ chunk[:, :-1]), out=starts[:, 1:]
+    )
+    return starts
+
+
+def _present_ends(chunk: np.ndarray, finest: np.ndarray) -> np.ndarray:
+    """One past the longest prefix at which each cell's block is present.
+
+    The block of ``x`` at n is in the nested block sets iff some block
+    of the finest set shares ``x``'s first n bits, and the block sharing
+    the most is ``x``'s predecessor or successor in sorted ``finest``
+    (the values sharing a prefix with ``x`` form an interval around
+    it).  Lengths past the finest prefix are never read, so ``x`` need
+    not be masked first.
+    """
+    idx = np.searchsorted(finest, chunk)
+    succ = finest[np.minimum(idx, finest.size - 1)]
+    np.subtract(idx, 1, out=idx)
+    np.maximum(idx, 0, out=idx)
+    nearest = np.minimum(chunk ^ succ, chunk ^ finest[idx])
+    return (_BINS - 1) - _bit_length(nearest)
+
+
+def _count_columns(
+    starts: np.ndarray, ends: Optional[np.ndarray], columns: np.ndarray
+) -> np.ndarray:
+    """Per row and column, the cells with ``starts <= columns[j] < ends``.
+
+    A difference histogram over the 34 possible interval endpoints —
+    +1 at each start, -1 at each end — cumulated along the prefix axis
+    gives every prefix length's count at once.  ``ends=None`` means no
+    cell's interval ends before /32.
+    """
+    rows = starts.shape[0]
+    base = (np.arange(rows, dtype=np.int32) * _BINS)[:, None]
+    if ends is None:
+        diff = np.bincount((starts + base).ravel(), minlength=rows * _BINS)
+    else:
+        hit = starts < ends
+        diff = np.bincount((starts + base)[hit], minlength=rows * _BINS)
+        diff -= np.bincount((ends + base)[hit], minlength=rows * _BINS)
+    return np.cumsum(diff.reshape(rows, _BINS), axis=1)[:, columns]
+
+
+def _finest_blocks(
+    blocks_by_prefix: Sequence[np.ndarray], prefixes: Tuple[int, ...]
+) -> np.ndarray:
+    """The block set at the longest prefix, checked to nest all the others.
+
+    The one-pass intersection needs every ``blocks_by_prefix[j]`` to be
+    the distinct /``prefixes[j]`` masks of that finest set — which holds
+    whenever each set is ``cidr_set(report, n)`` of one report.
+    """
+    top = max(prefixes)
+    finest = np.asarray(blocks_by_prefix[prefixes.index(top)])
+    if finest.size and not (
+        (finest[1:] > finest[:-1]).all()
+        and (mask_array(finest, top) == finest).all()
+    ):
+        raise ValueError(f"the /{top} block set is not sorted unique networks")
+    for blocks, n in zip(blocks_by_prefix, prefixes):
+        masked = mask_array(finest, n)
+        keep = np.ones(masked.size, dtype=bool)
+        np.not_equal(masked[1:], masked[:-1], out=keep[1:])
+        if not np.array_equal(masked[keep], blocks):
+            raise ValueError(
+                f"block sets do not nest: the /{n} set is not the /{n} "
+                f"masks of the /{top} set"
+            )
+    return finest
 
 
 def block_counts_2d(
@@ -79,21 +175,20 @@ def block_counts_2d(
 
     ``rows`` is a row-sorted ``(trials, cardinality)`` ``uint32`` matrix;
     the result is ``(trials, len(prefixes))`` ``int64``.  This is the
-    batched form of the Figure 2/3 Monte-Carlo statistic: all 17 prefixes
-    of a 1000-trial ensemble cost 17 masked neighbour-comparison passes
-    over one matrix.
+    batched form of the Figure 2/3 Monte-Carlo statistic: one pass over
+    the matrix finds each cell's common prefix length with its left
+    neighbour, and a per-row histogram of those lengths counts the
+    blocks at every prefix.
     """
     rows = _check_matrix(rows)
-    prefixes = tuple(prefixes)
-    out = np.zeros((rows.shape[0], len(prefixes)), dtype=np.int64)
+    columns = _check_prefixes(prefixes)
+    out = np.zeros((rows.shape[0], columns.size), dtype=np.int64)
     if rows.size == 0:
         return out
     obs_metrics.inc("kernels.block_counts_2d.trials", rows.shape[0])
-    for column, n in enumerate(prefixes):
-        masked = mask_array(rows, n)
-        out[:, column] = 1 + np.count_nonzero(
-            masked[:, 1:] != masked[:, :-1], axis=1
-        )
+    for lo in range(0, rows.shape[0], ROW_CHUNK):
+        starts = _block_starts(rows[lo:lo + ROW_CHUNK])
+        out[lo:lo + ROW_CHUNK] = _count_columns(starts, None, columns)
     return out
 
 
@@ -114,11 +209,18 @@ def intersection_counts_2d(
     many of the fixed report's *addresses* fall inside the row's blocks"
     (the §6 null-model statistic).
 
+    The block sets must nest — each the masks of the set at the longest
+    prefix, as ``cidr_set`` of one report gives — or ``ValueError`` is
+    raised.  A cell then counts at exactly the prefixes from where it
+    starts a block in its row up to the longest at which its block is
+    present, so one pass and a difference histogram give every column.
+
     ``rows`` must be row-sorted; the result is
     ``(trials, len(prefixes))`` ``int64``.
     """
     rows = _check_matrix(rows)
     prefixes = tuple(prefixes)
+    columns = _check_prefixes(prefixes)
     if len(blocks_by_prefix) != len(prefixes):
         raise ValueError(
             f"{len(blocks_by_prefix)} block sets for {len(prefixes)} prefixes"
@@ -128,23 +230,30 @@ def intersection_counts_2d(
             f"{len(weights_by_prefix)} weight sets for {len(prefixes)} prefixes"
         )
     out = np.zeros((rows.shape[0], len(prefixes)), dtype=np.int64)
-    if rows.size == 0:
+    if rows.size == 0 or not prefixes:
         return out
     obs_metrics.inc("kernels.intersection_counts_2d.trials", rows.shape[0])
-    for column, n in enumerate(prefixes):
-        blocks = np.asarray(blocks_by_prefix[column])
-        if blocks.size == 0:
-            continue
-        masked = mask_array(rows, n)
-        hit = _first_in_row(masked)
-        idx = np.searchsorted(blocks, masked)
-        np.minimum(idx, blocks.size - 1, out=idx)
-        hit &= blocks[idx] == masked
+    finest = _finest_blocks(blocks_by_prefix, prefixes)
+    if finest.size == 0:
+        return out
+    for lo in range(0, rows.shape[0], ROW_CHUNK):
+        chunk = rows[lo:lo + ROW_CHUNK]
+        starts = _block_starts(chunk)
+        ends = _present_ends(chunk, finest)
         if weights_by_prefix is None:
-            out[:, column] = np.count_nonzero(hit, axis=1)
-        else:
+            out[lo:lo + ROW_CHUNK] = _count_columns(starts, ends, columns)
+            continue
+        # Weighted: each hit cell adds its block's weight at every
+        # prefix it counts at, looked up among the hit cells only.
+        hit = starts < ends
+        row_of = np.nonzero(hit)[0]
+        cells, first, last = chunk[hit], starts[hit], ends[hit]
+        for column, n in enumerate(prefixes):
+            sel = (first <= n) & (n < last)
+            blocks = blocks_by_prefix[column]
             weights = np.asarray(weights_by_prefix[column], dtype=np.int64)
-            out[:, column] = np.where(hit, weights[idx], 0).sum(axis=1)
+            idx = np.searchsorted(blocks, mask_array(cells[sel], n))
+            np.add.at(out[lo:lo + ROW_CHUNK, column], row_of[sel], weights[idx])
     return out
 
 
@@ -186,11 +295,8 @@ def member_counts_2d(
 #
 # The streaming layer never re-sorts: a day-batch arrives sorted, the
 # rolling state is sorted, and a two-searchsorted merge places both in
-# O((n+m) log) vectorised work.  Masking monotonicity (the module-doc
-# invariant) carries over: a merged row is sorted at /32, hence sorted
-# after masking at any prefix, so the incremental count kernels below
-# only have to find which *batch* elements start blocks the existing
-# rows did not already contain.
+# O((n+m) log) vectorised work.  A merged row is sorted at /32, so it
+# meets the count kernels' row-sorted precondition without a re-sort.
 
 
 def merge_sorted(existing: np.ndarray, batch: np.ndarray) -> np.ndarray:
@@ -292,97 +398,4 @@ def merge_sorted_rows(rows: np.ndarray, batch: np.ndarray) -> np.ndarray:
     )
     out[row_index, pos_rows] = rows
     out[row_index, pos_batch] = batch
-    return out
-
-
-def _new_in_rows(rows_masked: np.ndarray, batch_masked: np.ndarray) -> np.ndarray:
-    """Which batch cells start a block absent from the existing rows.
-
-    Both operands are row-sorted masked matrices; a batch cell counts
-    iff it is its row's first occurrence within the batch *and* not a
-    member of the corresponding existing row.
-    """
-    new = _first_in_row(batch_masked)
-    if rows_masked.shape[1] == 0:
-        return new
-    idx = _rowwise_searchsorted(rows_masked, batch_masked, side="left")
-    clipped = np.minimum(idx, rows_masked.shape[1] - 1)
-    member = (idx < rows_masked.shape[1]) & (
-        np.take_along_axis(rows_masked, clipped, axis=1) == batch_masked
-    )
-    return new & ~member
-
-
-def block_counts_2d_merge(
-    prev_counts: np.ndarray,
-    rows: np.ndarray,
-    batch: np.ndarray,
-    prefixes: Sequence[int],
-) -> np.ndarray:
-    """Update :func:`block_counts_2d` for ``merge_sorted_rows(rows, batch)``.
-
-    ``prev_counts`` must be ``block_counts_2d(rows, prefixes)``; the
-    incremental cost is proportional to the batch width, not the merged
-    width — the whole point of folding day-batches instead of
-    recounting the window.
-    """
-    rows = _check_matrix(rows)
-    batch = _check_matrix(batch)
-    prefixes = tuple(prefixes)
-    out = np.array(prev_counts, dtype=np.int64, copy=True)
-    if batch.size == 0:
-        return out
-    obs_metrics.inc("kernels.block_counts_2d_merge.trials", batch.shape[0])
-    for column, n in enumerate(prefixes):
-        fresh = _new_in_rows(mask_array(rows, n), mask_array(batch, n))
-        out[:, column] += np.count_nonzero(fresh, axis=1)
-    return out
-
-
-def intersection_counts_2d_merge(
-    prev_counts: np.ndarray,
-    rows: np.ndarray,
-    batch: np.ndarray,
-    blocks_by_prefix: Sequence[np.ndarray],
-    prefixes: Sequence[int],
-    weights_by_prefix: Optional[Sequence[np.ndarray]] = None,
-) -> np.ndarray:
-    """Update :func:`intersection_counts_2d` after merging ``batch`` in.
-
-    ``prev_counts`` must be the intersection counts of ``rows`` against
-    the same fixed per-prefix block sets (and weights, if any); only
-    blocks newly contributed by the batch can add to the counts, so the
-    update touches batch-width cells per prefix.
-    """
-    rows = _check_matrix(rows)
-    batch = _check_matrix(batch)
-    prefixes = tuple(prefixes)
-    if len(blocks_by_prefix) != len(prefixes):
-        raise ValueError(
-            f"{len(blocks_by_prefix)} block sets for {len(prefixes)} prefixes"
-        )
-    if weights_by_prefix is not None and len(weights_by_prefix) != len(prefixes):
-        raise ValueError(
-            f"{len(weights_by_prefix)} weight sets for {len(prefixes)} prefixes"
-        )
-    out = np.array(prev_counts, dtype=np.int64, copy=True)
-    if batch.size == 0:
-        return out
-    obs_metrics.inc(
-        "kernels.intersection_counts_2d_merge.trials", batch.shape[0]
-    )
-    for column, n in enumerate(prefixes):
-        blocks = np.asarray(blocks_by_prefix[column])
-        if blocks.size == 0:
-            continue
-        masked = mask_array(batch, n)
-        hit = _new_in_rows(mask_array(rows, n), masked)
-        idx = np.searchsorted(blocks, masked)
-        np.minimum(idx, blocks.size - 1, out=idx)
-        hit &= blocks[idx] == masked
-        if weights_by_prefix is None:
-            out[:, column] += np.count_nonzero(hit, axis=1)
-        else:
-            weights = np.asarray(weights_by_prefix[column], dtype=np.int64)
-            out[:, column] += np.where(hit, weights[idx], 0).sum(axis=1)
     return out

@@ -14,7 +14,9 @@ rather than assumed:
 
 Each check returns a :class:`CheckResult` with the test statistic and
 p-value; :func:`validate_botnet` bundles them.  Uses scipy for the KS,
-chi-square and rank-correlation machinery.
+chi-square and rank-correlation machinery, imported by each check when
+it runs: ``scipy.stats`` takes about a second to import, and importing
+the package must not pay for it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy import stats
 
 from repro.sim.botnet import BotnetSimulation
 
@@ -59,6 +60,8 @@ def check_start_days_uniform(
     botnet: BotnetSimulation, level: float = DEFAULT_LEVEL
 ) -> CheckResult:
     """KS test of start days against Uniform(0, horizon)."""
+    from scipy import stats
+
     horizon = botnet.config.horizon_days
     # Continuity correction: add uniform jitter inside the day bucket.
     jitter = np.random.default_rng(0).random(botnet.start_day.size)
@@ -84,6 +87,8 @@ def check_durations_exponential(
     is the floor-at-one-day discretisation (durations of exactly one day
     carry rounding mass).
     """
+    from scipy import stats
+
     cfg = botnet.config
     if botnet.dynamics is None:
         unclean = botnet.internet.uncleanliness[botnet.network_index]
@@ -124,6 +129,8 @@ def check_channels_uniform(
     botnet: BotnetSimulation, level: float = DEFAULT_LEVEL
 ) -> CheckResult:
     """Chi-square test of channel assignment uniformity."""
+    from scipy import stats
+
     counts = np.bincount(botnet.channel, minlength=botnet.config.num_channels)
     statistic, p_value = stats.chisquare(counts)
     return CheckResult(
@@ -143,6 +150,8 @@ def check_placement_tracks_uncleanliness(
     Rates are normalised by population so the association isolates the
     uncleanliness term of the placement weights.
     """
+    from scipy import stats
+
     internet = botnet.internet
     counts = np.bincount(botnet.network_index, minlength=internet.num_networks)
     rate = counts / internet.population.astype(np.float64)

@@ -77,6 +77,15 @@ class TestAsArray:
         assert out.dtype == np.uint32
         assert np.array_equal(out, src)
 
+    def test_uint32_returned_without_copy(self):
+        src = np.asarray([0, MAX_ADDRESS], dtype=np.uint32)
+        assert as_array(src) is src
+
+    def test_in_range_int64_cast_to_uint32(self):
+        out = as_array(np.asarray([0, MAX_ADDRESS], dtype=np.int64))
+        assert out.dtype == np.uint32
+        assert list(out) == [0, MAX_ADDRESS]
+
     def test_numpy_negative_rejected(self):
         with pytest.raises(ValueError):
             as_array(np.asarray([-1], dtype=np.int64))
@@ -84,6 +93,8 @@ class TestAsArray:
     def test_numpy_overflow_rejected(self):
         with pytest.raises(ValueError):
             as_array(np.asarray([MAX_ADDRESS + 1], dtype=np.int64))
+        with pytest.raises(ValueError):
+            as_array(np.asarray([1, MAX_ADDRESS + 1, 2], dtype=np.uint64))
 
     def test_empty(self):
         assert as_array([]).size == 0

@@ -4,7 +4,9 @@ The kernels evaluate a whole ``(trials, cardinality)`` matrix at once;
 every test checks them against the scalar per-trial reference
 (:func:`repro.ipspace.cidr.block_count` / ``np.intersect1d`` /
 :func:`repro.ipspace.cidr.contains`) — the contract is bit-identity,
-not approximation.
+not approximation.  The count kernels work through the matrix
+:data:`~repro.ipspace.kernels.ROW_CHUNK` rows at a time, so the
+clustered-matrix properties draw more trials than that.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.ipspace import cidr as icidr
 from repro.ipspace.kernels import (
+    ROW_CHUNK,
     block_counts_2d,
     intersection_counts_2d,
     member_counts_2d,
@@ -45,9 +48,79 @@ def matrix_strategy(min_trials=0, max_trials=6, min_width=0, max_width=40):
     )
 
 
+def clustered_matrices(min_trials=ROW_CHUNK + 1, max_trials=2 * ROW_CHUNK + 3):
+    """Row-sorted matrices with more trials than a row chunk, whose
+    addresses (and a fixed report's) share their high bits: every prefix
+    length then sees both repeated and distinct blocks, and hits."""
+
+    def build(args):
+        seed, trials, width, span_bits, present_size = args
+        rng = np.random.default_rng(seed)
+        span = 1 << span_bits
+        base = int(rng.integers(0, (1 << 32) - span + 1))
+        rows = base + rng.integers(0, span, size=(trials, width))
+        present = base + rng.integers(0, span, size=present_size)
+        return (
+            np.sort(rows.astype(np.uint32), axis=1),
+            present.astype(np.uint32),
+        )
+
+    return st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.integers(min_trials, max_trials),
+        st.integers(0, 12),
+        st.integers(0, 32),
+        st.integers(0, 30),
+    ).map(build)
+
+
+prefix_lists = st.lists(st.integers(0, 32), min_size=1, max_size=8)
+
+
 def reference_block_counts(rows, prefixes):
     return np.array(
         [[icidr.block_count(row, n) for n in prefixes] for row in rows],
+        dtype=np.int64,
+    ).reshape(rows.shape[0], len(prefixes))
+
+
+def reference_intersections(rows, blocks, prefixes):
+    return np.array(
+        [
+            [
+                np.intersect1d(icidr.unique_blocks(row, n), blocks[column]).size
+                for column, n in enumerate(prefixes)
+            ]
+            for row in rows
+        ],
+        dtype=np.int64,
+    ).reshape(rows.shape[0], len(prefixes))
+
+
+def weighted_blocks(present, prefixes):
+    """Per-prefix (blocks, address multiplicities) of a fixed report."""
+    pairs = [
+        np.unique(icidr.mask_array(present, n), return_counts=True)
+        for n in prefixes
+    ]
+    return (
+        [blocks for blocks, _ in pairs],
+        [counts.astype(np.int64) for _, counts in pairs],
+    )
+
+
+def reference_covered(rows, blocks, weights, prefixes):
+    """The §6 per-trial reference (``CoveredCountStatistic.per_trial``)."""
+    return np.array(
+        [
+            [
+                int(weights[column][
+                    np.isin(blocks[column], icidr.unique_blocks(row, n))
+                ].sum())
+                for column, n in enumerate(prefixes)
+            ]
+            for row in rows
+        ],
         dtype=np.int64,
     ).reshape(rows.shape[0], len(prefixes))
 
@@ -96,6 +169,31 @@ class TestBlockCounts2D:
         out = block_counts_2d(rows, PREFIXES)
         assert np.array_equal(out, reference_block_counts(rows, PREFIXES))
 
+    @given(clustered_matrices(), prefix_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_across_row_chunks(self, case, prefixes):
+        rows, _ = case
+        out = block_counts_2d(rows, prefixes)
+        assert np.array_equal(out, reference_block_counts(rows, prefixes))
+
+    def test_prefixes_zero_and_thirty_two(self):
+        rows = np.array([[5, 5, 9, 0xFFFFFFFF]], dtype=np.uint32)
+        assert np.array_equal(block_counts_2d(rows, (32, 0)), [[3, 1]])
+
+    def test_neighbours_differing_in_bit_zero(self):
+        rows = np.array([[0x0A000000, 0x0A000001]], dtype=np.uint32)
+        out = block_counts_2d(rows, (0, 30, 31, 32))
+        assert np.array_equal(out, [[1, 1, 1, 2]])
+
+    def test_neighbours_differing_in_bit_thirty_one(self):
+        rows = np.array([[0x00000000, 0x80000000]], dtype=np.uint32)
+        out = block_counts_2d(rows, (0, 1, 2, 32))
+        assert np.array_equal(out, [[1, 2, 2, 2]])
+
+    def test_out_of_range_prefix_rejected(self):
+        with pytest.raises(ValueError):
+            block_counts_2d(np.zeros((1, 2), dtype=np.uint32), (33,))
+
 
 class TestIntersectionCounts2D:
     @given(matrix_strategy(), st.lists(addresses, max_size=50))
@@ -104,19 +202,81 @@ class TestIntersectionCounts2D:
         present = np.asarray(present, dtype=np.uint32)
         blocks = [icidr.unique_blocks(present, n) for n in PREFIXES]
         out = intersection_counts_2d(rows, blocks, PREFIXES)
-        expected = np.array(
-            [
-                [
-                    np.intersect1d(
-                        icidr.unique_blocks(row, n), blocks[column]
-                    ).size
-                    for column, n in enumerate(PREFIXES)
-                ]
-                for row in rows
-            ],
-            dtype=np.int64,
-        ).reshape(rows.shape[0], len(PREFIXES))
-        assert np.array_equal(out, expected)
+        assert np.array_equal(
+            out, reference_intersections(rows, blocks, PREFIXES)
+        )
+
+    @given(clustered_matrices(), prefix_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_across_row_chunks(self, case, prefixes):
+        rows, present = case
+        blocks = [icidr.unique_blocks(present, n) for n in prefixes]
+        out = intersection_counts_2d(rows, blocks, prefixes)
+        assert np.array_equal(
+            out, reference_intersections(rows, blocks, prefixes)
+        )
+
+    @given(clustered_matrices(), prefix_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_weighted_matches_reference_across_row_chunks(self, case, prefixes):
+        rows, present = case
+        blocks, weights = weighted_blocks(present, prefixes)
+        out = intersection_counts_2d(
+            rows, blocks, prefixes, weights_by_prefix=weights
+        )
+        assert np.array_equal(
+            out, reference_covered(rows, blocks, weights, prefixes)
+        )
+
+    def test_prefixes_zero_and_thirty_two(self):
+        rows = np.array([[5, 9], [6, 7]], dtype=np.uint32)
+        present = np.array([9, 200], dtype=np.uint32)
+        prefixes = (0, 32)
+        blocks = [icidr.unique_blocks(present, n) for n in prefixes]
+        out = intersection_counts_2d(rows, blocks, prefixes)
+        assert np.array_equal(out, [[1, 1], [1, 0]])
+
+    def test_duplicate_cells_count_once(self):
+        rows = np.array([[7, 7, 7]], dtype=np.uint32)
+        present = np.array([7, 7, 8], dtype=np.uint32)
+        prefixes = (0, 24, 32)
+        blocks = [icidr.unique_blocks(present, n) for n in prefixes]
+        assert np.array_equal(
+            intersection_counts_2d(rows, blocks, prefixes), [[1, 1, 1]]
+        )
+        blocks, weights = weighted_blocks(present, prefixes)
+        out = intersection_counts_2d(rows, blocks, prefixes, weights)
+        assert np.array_equal(out, [[3, 3, 2]])
+
+    def test_neighbours_differing_in_bit_zero(self):
+        rows = np.array([[0x0A000000]], dtype=np.uint32)
+        present = np.array([0x0A000001], dtype=np.uint32)
+        prefixes = (30, 31, 32)
+        blocks = [icidr.unique_blocks(present, n) for n in prefixes]
+        out = intersection_counts_2d(rows, blocks, prefixes)
+        assert np.array_equal(out, [[1, 1, 0]])
+
+    def test_neighbours_differing_in_bit_thirty_one(self):
+        rows = np.array([[0x00000000, 0x7FFFFFFF]], dtype=np.uint32)
+        present = np.array([0x80000000], dtype=np.uint32)
+        prefixes = (0, 1, 32)
+        blocks = [icidr.unique_blocks(present, n) for n in prefixes]
+        out = intersection_counts_2d(rows, blocks, prefixes)
+        assert np.array_equal(out, [[1, 0, 0]])
+
+    def test_non_nested_block_sets_rejected(self):
+        rows = np.array([[0x0A000001]], dtype=np.uint32)
+        near = np.array([0x0A000001], dtype=np.uint32)
+        far = np.array([0x14000001], dtype=np.uint32)
+        blocks = (icidr.unique_blocks(near, 24), icidr.unique_blocks(far, 32))
+        with pytest.raises(ValueError, match="do not nest"):
+            intersection_counts_2d(rows, blocks, (24, 32))
+
+    def test_unsorted_finest_block_set_rejected(self):
+        rows = np.array([[1]], dtype=np.uint32)
+        blocks = (np.array([9, 3], dtype=np.uint32),)
+        with pytest.raises(ValueError, match="sorted unique"):
+            intersection_counts_2d(rows, blocks, (32,))
 
     def test_weighted_counts_multiplicities(self):
         # Target has 3 addresses in 10.0.0.0/24, 1 elsewhere.

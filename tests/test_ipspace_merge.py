@@ -2,8 +2,8 @@
 
 Every merge kernel's contract is bit-identity with the rebuild-from-
 scratch path it replaces: ``merge_sorted_rows`` against re-sorting the
-concatenation, and the ``*_merge`` count updates against recounting the
-merged matrix.  That identity is what makes the streaming layer's
+concatenation, ``merge_unique``/``remove_sorted`` against the set
+operations.  That identity is what makes the streaming layer's
 incremental day folds indistinguishable from batch recomputation.
 """
 
@@ -14,18 +14,12 @@ from hypothesis import strategies as st
 
 from repro.core.trials import TrialEnsemble
 from repro.ipspace.kernels import (
-    block_counts_2d,
-    block_counts_2d_merge,
-    intersection_counts_2d,
-    intersection_counts_2d_merge,
     merge_sorted,
     merge_sorted_rows,
     merge_unique,
     remove_sorted,
     sorted_rows,
 )
-
-PREFIXES = (0, 8, 16, 24, 28, 32)
 
 addresses = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
@@ -131,69 +125,6 @@ class TestMergeSortedRows:
                 np.zeros((2, 3), dtype=np.uint32),
                 np.zeros((3, 1), dtype=np.uint32),
             )
-
-
-class TestCountMergeKernels:
-    @given(matrix_pair_strategy())
-    @settings(max_examples=60, deadline=None)
-    def test_block_counts_merge_matches_recount(self, pair):
-        rows, batch = pair
-        previous = block_counts_2d(rows, PREFIXES)
-        updated = block_counts_2d_merge(previous, rows, batch, PREFIXES)
-        merged = merge_sorted_rows(rows, batch)
-        assert np.array_equal(updated, block_counts_2d(merged, PREFIXES))
-
-    @given(matrix_pair_strategy(), st.lists(addresses, max_size=25))
-    @settings(max_examples=60, deadline=None)
-    def test_intersection_merge_matches_recount(self, pair, fixed):
-        from repro.ipspace.cidr import mask_array
-
-        rows, batch = pair
-        fixed = unique_array(fixed)
-        blocks_by_prefix = [
-            np.unique(mask_array(fixed, n)) if fixed.size else fixed
-            for n in PREFIXES
-        ]
-        previous = intersection_counts_2d(rows, blocks_by_prefix, PREFIXES)
-        updated = intersection_counts_2d_merge(
-            previous, rows, batch, blocks_by_prefix, PREFIXES
-        )
-        merged = merge_sorted_rows(rows, batch)
-        assert np.array_equal(
-            updated, intersection_counts_2d(merged, blocks_by_prefix, PREFIXES)
-        )
-
-    @given(matrix_pair_strategy(), st.lists(addresses, max_size=25))
-    @settings(max_examples=40, deadline=None)
-    def test_weighted_intersection_merge_matches_recount(self, pair, fixed):
-        from repro.ipspace.cidr import mask_array
-
-        rows, batch = pair
-        fixed = unique_array(fixed)
-        blocks_by_prefix = []
-        weights_by_prefix = []
-        for n in PREFIXES:
-            if fixed.size:
-                blocks, weights = np.unique(
-                    mask_array(fixed, n), return_counts=True
-                )
-            else:
-                blocks, weights = fixed, fixed.astype(np.int64)
-            blocks_by_prefix.append(blocks)
-            weights_by_prefix.append(weights.astype(np.int64))
-        previous = intersection_counts_2d(
-            rows, blocks_by_prefix, PREFIXES, weights_by_prefix
-        )
-        updated = intersection_counts_2d_merge(
-            previous, rows, batch, blocks_by_prefix, PREFIXES, weights_by_prefix
-        )
-        merged = merge_sorted_rows(rows, batch)
-        assert np.array_equal(
-            updated,
-            intersection_counts_2d(
-                merged, blocks_by_prefix, PREFIXES, weights_by_prefix
-            ),
-        )
 
 
 class TestEnsembleMerge:

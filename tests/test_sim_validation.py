@@ -1,5 +1,11 @@
 """Tests for the statistical validation of the simulators."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -93,3 +99,38 @@ class TestChecksHavePower:
             big_botnet.config.horizon_days - 1,
         )
         assert not check_durations_exponential(broken).passed
+
+
+def test_import_leaves_scipy_unloaded_until_a_check_runs():
+    # scipy.stats costs ~1 s to import; the package import must not pay
+    # it, and the checks must still find it when they run.
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import repro.api
+        assert "scipy" not in sys.modules, "import repro.api loaded scipy"
+        from repro.sim.botnet import BotnetConfig, BotnetSimulation
+        from repro.sim.internet import InternetConfig, SyntheticInternet
+        from repro.sim.validation import validate_botnet
+        internet = SyntheticInternet(
+            InternetConfig(num_slash16=25, mean_hosts=20.0),
+            np.random.default_rng(99),
+        )
+        botnet = BotnetSimulation(
+            internet, BotnetConfig(daily_compromises=60.0),
+            np.random.default_rng(41),
+        )
+        assert len(validate_botnet(botnet)) == 4
+        assert "scipy.stats" in sys.modules
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
