@@ -74,7 +74,7 @@ def _cold_build_seconds(config, reps: int) -> float:
 
     def build():
         _reset_caches()
-        PaperScenario._create(config).reports
+        PaperScenario(config).reports
 
     return min(_timed(build) for _ in range(reps))
 
@@ -107,13 +107,13 @@ def bench_identity(params) -> dict:
 
     # Warm the default world once, then resolve the identity pack.
     _reset_caches()
-    PaperScenario._create(base).reports
+    PaperScenario(base).reports
     engine = scenario_engine()
     before = dict(engine.build_counts)
     config = get_pack("paper-default").build(small=True)
 
     warm_s = min(
-        _timed(lambda: PaperScenario._create(config).reports)
+        _timed(lambda: PaperScenario(config).reports)
         for _ in range(max(2, params["reps"]))
     )
     if engine.build_counts != before:

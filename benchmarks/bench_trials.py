@@ -37,10 +37,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import cidr as rcidr
-from repro.core.density import BlockCountStatistic
-from repro.core.prediction import IntersectionStatistic
 from repro.core.report import Report
 from repro.core.sampling import monte_carlo
+from repro.core.trials import BlockCountStatistic, IntersectionStatistic
 
 SCALES = {
     # control |R|, subset size, batched trials, per-trial reference trials

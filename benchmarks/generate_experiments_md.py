@@ -37,7 +37,7 @@ def main() -> None:
     output_path = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
     started = time.time()
     print("building full-scale scenario...")
-    scenario = PaperScenario._create(ScenarioConfig())
+    scenario = PaperScenario(ScenarioConfig())
     rng = np.random.default_rng(0xEC0)
 
     sections = []

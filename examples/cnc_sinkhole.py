@@ -13,7 +13,7 @@ Run:  python examples/cnc_sinkhole.py
 
 import numpy as np
 
-from repro.api import prediction_test, run_scenario
+from repro.api import evaluate, run_scenario
 from repro.core.report import DataClass, Report, ReportType
 from repro.detect.cnc import SinkholeMonitor
 from repro.flows.generator import TrafficConfig, TrafficGenerator
@@ -56,7 +56,10 @@ def main() -> None:
     # --- does the sinkholed botnet predict the other botnets? ------------
     # The prediction target is the October membership of the channels the
     # provided bot feed covers — botnets the sinkhole never saw.
-    result = prediction_test(scenario, cnc_report, "bot", rng=rng, subsets=150)
+    result = evaluate(
+        scenario, metric="prediction", train=cnc_report, present="bot",
+        rng=rng, subsets=150,
+    )
     print("predicting OTHER botnets' October members from the sinkhole:")
     for n in (16, 20, 24, 28):
         print(f"  /{n}: intersection={result.observed[n]:>4}  "

@@ -16,7 +16,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.api import density_test, prediction_test, run_scenario
+from repro.api import evaluate, run_scenario
 
 
 def main() -> None:
@@ -32,7 +32,7 @@ def main() -> None:
     rng = np.random.default_rng(0)
 
     print("Spatial uncleanliness (Eq. 3): are bots denser than control?")
-    spatial = density_test(run, "bot", rng=rng, subsets=100)
+    spatial = evaluate(run, metric="density", train="bot", rng=rng, subsets=100)
     for n in (16, 20, 24, 28):
         print(
             f"  /{n}: bot blocks={spatial.observed[n]:>5}  "
@@ -43,7 +43,10 @@ def main() -> None:
     print()
 
     print("Temporal uncleanliness (Eq. 5): does May's botnet predict October's?")
-    temporal = prediction_test(run, "bot-test", "bot", rng=rng, subsets=100)
+    temporal = evaluate(
+        run, metric="prediction", train="bot-test", present="bot",
+        rng=rng, subsets=100,
+    )
     for n in (16, 20, 24, 28):
         print(
             f"  /{n}: intersection={temporal.observed[n]:>3}  "
@@ -55,7 +58,10 @@ def main() -> None:
     print()
 
     print("And the negative result: bots do NOT predict phishing (§5.2).")
-    phish = prediction_test(run, "bot-test", "phish-present", rng=rng, subsets=100)
+    phish = evaluate(
+        run, metric="prediction", train="bot-test", present="phish-present",
+        rng=rng, subsets=100,
+    )
     print(f"  predictive prefixes vs phishing: {phish.predictive_prefixes() or 'none'}")
 
 

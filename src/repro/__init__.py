@@ -18,9 +18,7 @@ Subpackages
 ``repro.api``
     The supported entry point: ``run_scenario``, ``evaluate``,
     ``compare``, ``list_predictors``/``make_predictor``, returning
-    frozen typed result dataclasses.  The pre-1.2 verbs
-    (``density_test``, ``prediction_test``, ``evaluate_blocking``)
-    remain as deprecated bit-identical shims.
+    frozen typed result dataclasses.
 ``repro.predict``
     The ``Predictor`` protocol and the rival models it hosts: the §7
     uncleanliness adapter, an implicit-recommendation time-series
@@ -44,13 +42,10 @@ Subpackages
 ``repro.experiments``
     One module per paper table/figure, regenerating its rows/series.
 
-Importing deep names (``PaperScenario``, ``blocking_test``, ...) from
-this top-level package still works but emits a one-time
-``DeprecationWarning`` per name; import them from :mod:`repro.core` (or
-switch to the facade) instead.
+The top-level package exports only the facade (``__all__``); deeper
+names such as ``PaperScenario`` or ``ReportType`` live in their own
+modules (:mod:`repro.core`, :mod:`repro.ipspace`).
 """
-
-import warnings as _warnings
 
 from repro.api import (
     BlockingResult,
@@ -62,18 +57,15 @@ from repro.api import (
     ScenarioConfig,
     ScenarioRun,
     compare,
-    density_test,
     evaluate,
-    evaluate_blocking,
     list_predictors,
     make_predictor,
-    prediction_test,
     run_fleet,
     run_scenario,
 )
 from repro.core.report import Report
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -82,9 +74,6 @@ __all__ = [
     "compare",
     "list_predictors",
     "make_predictor",
-    "density_test",
-    "prediction_test",
-    "evaluate_blocking",
     "run_fleet",
     "FleetResult",
     "ScenarioRun",
@@ -96,49 +85,3 @@ __all__ = [
     "ModelEvaluation",
     "ComparisonResult",
 ]
-
-#: Names that used to live in the eager top-level namespace; now served
-#: lazily with a one-time deprecation warning each, pointing at the
-#: stable home.  Format: name -> (module, attribute).
-_LEGACY = {
-    "ReportType": ("repro.core.report", "ReportType"),
-    "DataClass": ("repro.core.report", "DataClass"),
-    "CIDRBlock": ("repro.ipspace", "CIDRBlock"),
-    "PREFIX_RANGE": ("repro.core.cidr", "PREFIX_RANGE"),
-    "BETTER_PREDICTOR_LEVEL": ("repro.core.prediction", "BETTER_PREDICTOR_LEVEL"),
-    "BLOCKING_PREFIXES": ("repro.core.blocking", "BLOCKING_PREFIXES"),
-    "CandidatePartition": ("repro.core.blocking", "CandidatePartition"),
-    "partition_candidates": ("repro.core.blocking", "partition_candidates"),
-    "blocking_test": ("repro.core.blocking", "blocking_test"),
-    "UncleanlinessScorer": ("repro.core.uncleanliness", "UncleanlinessScorer"),
-    "BlockScores": ("repro.core.uncleanliness", "BlockScores"),
-    "block_jaccard": ("repro.core.uncleanliness", "block_jaccard"),
-    "PaperScenario": ("repro.core.scenario", "PaperScenario"),
-}
-
-_LEGACY_WARNED = set()
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LEGACY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    if name not in _LEGACY_WARNED:
-        _LEGACY_WARNED.add(name)
-        _warnings.warn(
-            f"importing {name!r} from the top-level 'repro' package is "
-            f"deprecated; import it from {module_name!r} or use the "
-            f"repro.api facade",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_LEGACY))

@@ -22,10 +22,7 @@ object satisfying :class:`repro.predict.Predictor`), a training feed
 (:class:`DensityResult`, :class:`PredictionResult`,
 :class:`BlockingResult` or :class:`repro.predict.ModelEvaluation`).
 :func:`compare` runs rival predictors head-to-head over one shared
-Monte-Carlo null.  The pre-1.2 verbs — :func:`density_test`,
-:func:`prediction_test`, :func:`evaluate_blocking` — remain as thin
-delegating shims (one ``DeprecationWarning`` per name per process)
-producing bit-identical numbers.
+Monte-Carlo null.
 
 Determinism: when no ``rng``/``seed`` is given, each test seeds its
 generator from ``config.seed ^ 0xC1D`` — the same convention the CLI
@@ -42,8 +39,6 @@ cache key** — two models over one scenario can never collide.
 
 from __future__ import annotations
 
-import os
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Generic, List, Optional, Sequence, TypeVar, Union
@@ -104,9 +99,6 @@ __all__ = [
     "compare",
     "list_predictors",
     "make_predictor",
-    "density_test",
-    "prediction_test",
-    "evaluate_blocking",
     "run_fleet",
     "fleet_density_test",
     "fleet_prediction_test",
@@ -171,29 +163,17 @@ class _LRUCache(Generic[_V]):
         return key in self._entries
 
 
-def _cache_capacity(env: str, default: int) -> int:
-    raw = os.environ.get(env)
-    if raw is None:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
-
-
-#: Scenarios per config fingerprint, bounded (``$REPRO_SCENARIO_CACHE_SIZE``,
-#: default 8); stage artifacts live in the engine store regardless, so an
-#: evicted scenario rebuilds from cache, not from simulation.
+#: Scenarios per config fingerprint, bounded; stage artifacts live in
+#: the engine store regardless, so an evicted scenario rebuilds from
+#: cache, not from simulation.
 _SCENARIOS: _LRUCache[PaperScenario] = _LRUCache(
-    _cache_capacity("REPRO_SCENARIO_CACHE_SIZE", 8),
-    "api.scenario_cache.evictions",
+    8, "api.scenario_cache.evictions"
 )
 
 #: Streaming services per stream fingerprint (bounded like scenarios;
 #: an evicted service resumes from its day checkpoints).
 _SERVICES: _LRUCache[UncleanlinessService] = _LRUCache(
-    _cache_capacity("REPRO_STREAM_CACHE_SIZE", 4),
-    "api.stream_cache.evictions",
+    4, "api.stream_cache.evictions"
 )
 
 
@@ -203,7 +183,7 @@ def _scenario_for(config: Optional[ScenarioConfig] = None) -> PaperScenario:
     key = config.fingerprint()
     scenario = _SCENARIOS.get(key)
     if scenario is None:
-        scenario = PaperScenario._create(config)
+        scenario = PaperScenario(config)
         _SCENARIOS.put(key, scenario)
     return scenario
 
@@ -244,7 +224,8 @@ class ScenarioRun:
 
     @property
     def scenario(self) -> PaperScenario:
-        """The underlying scenario (for code migrating off the old API)."""
+        """The underlying :class:`PaperScenario` (what the experiment
+        modules take)."""
         return self._scenario
 
     def __getattr__(self, name: str):
@@ -356,13 +337,11 @@ def _default_rng(
 
 # -- the predictor-generic evaluation entry ---------------------------------
 
-#: Cached evaluation results per evaluation fingerprint
-#: (``$REPRO_EVAL_CACHE_SIZE``, default 32).  The key always embeds the
-#: predictor fingerprint, so rival models over one scenario occupy
-#: distinct entries by construction.
+#: Cached evaluation results per evaluation fingerprint, bounded.  The
+#: key always embeds the predictor fingerprint, so rival models over one
+#: scenario occupy distinct entries by construction.
 _EVALUATIONS: _LRUCache[object] = _LRUCache(
-    _cache_capacity("REPRO_EVAL_CACHE_SIZE", 32),
-    "api.evaluation_cache.evictions",
+    32, "api.evaluation_cache.evictions"
 )
 
 #: The metric vocabulary of :func:`evaluate`.
@@ -668,111 +647,6 @@ def compare(
     if cacheable:
         _EVALUATIONS.put(key, result)
     return result
-
-
-# -- pre-1.2 verbs (deprecated shims) ----------------------------------------
-
-_DEPRECATED_WARNED = set()
-
-
-def _warn_deprecated(name: str, hint: str) -> None:
-    """One ``DeprecationWarning`` per legacy verb per process."""
-    if name in _DEPRECATED_WARNED:
-        return
-    _DEPRECATED_WARNED.add(name)
-    warnings.warn(
-        f"repro.api.{name} is deprecated since 1.2.0; use {hint}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def density_test(
-    scenario: ScenarioLike = None,
-    report: Union[str, Report] = "bot",
-    *,
-    control: Union[str, Report] = "control",
-    rng: Optional[np.random.Generator] = None,
-    seed: Optional[int] = None,
-    prefixes: Sequence[int] = tuple(PREFIX_RANGE),
-    subsets: int = 1000,
-    include_naive: bool = False,
-    naive_subsets: int = 20,
-    workers: Optional[int] = None,
-) -> DensityResult:
-    """Deprecated: the §4.2 spatial test — use
-    ``evaluate(metric="density", train=report)``.
-
-    Thin delegating wrapper; numbers are bit-identical to pre-1.2.
-    """
-    _warn_deprecated("density_test", 'evaluate(..., metric="density")')
-    return evaluate(
-        scenario,
-        metric="density",
-        train=report,
-        control=control,
-        rng=rng,
-        seed=seed,
-        prefixes=prefixes,
-        subsets=subsets,
-        include_naive=include_naive,
-        naive_subsets=naive_subsets,
-        workers=workers,
-    )
-
-
-def prediction_test(
-    scenario: ScenarioLike = None,
-    past: Union[str, Report] = "bot-test",
-    present: Union[str, Report] = "bot",
-    *,
-    control: Union[str, Report] = "control",
-    rng: Optional[np.random.Generator] = None,
-    seed: Optional[int] = None,
-    prefixes: Sequence[int] = tuple(PREFIX_RANGE),
-    subsets: int = 1000,
-    workers: Optional[int] = None,
-) -> PredictionResult:
-    """Deprecated: the §5.2 temporal test — use
-    ``evaluate(metric="prediction", train=past, present=present)``.
-
-    Thin delegating wrapper over the uncleanliness adapter; the §5
-    numbers are bit-identical to pre-1.2 (the adapter's predicted
-    blocks at every prefix are exactly ``C_n(past)``).
-    """
-    _warn_deprecated("prediction_test", 'evaluate(..., metric="prediction")')
-    return evaluate(
-        scenario,
-        metric="prediction",
-        train=past,
-        present=present,
-        control=control,
-        rng=rng,
-        seed=seed,
-        prefixes=prefixes,
-        subsets=subsets,
-        workers=workers,
-    )
-
-
-def evaluate_blocking(
-    scenario: ScenarioLike = None,
-    *,
-    bot_test: Union[str, Report] = "bot-test",
-    prefixes: Sequence[int] = BLOCKING_PREFIXES,
-) -> BlockingResult:
-    """Deprecated: the §6 blocking experiment — use
-    ``evaluate(metric="blocking", train=bot_test)``.
-
-    Thin delegating wrapper; Table 3 is bit-identical to pre-1.2.
-    """
-    _warn_deprecated("evaluate_blocking", 'evaluate(..., metric="blocking")')
-    return evaluate(
-        scenario,
-        metric="blocking",
-        train=bot_test,
-        prefixes=prefixes,
-    )
 
 
 # -- fleet / clearinghouse ---------------------------------------------------

@@ -14,7 +14,6 @@ from repro.core.blocking import (
     BlockingResult,
     BlockingRow,
     CandidatePartition,
-    CoveredCountStatistic,
     blocking_test,
     blocking_test_blocks,
     control_blocking_distribution,
@@ -22,7 +21,6 @@ from repro.core.blocking import (
 )
 from repro.core.cidr import (
     PREFIX_RANGE,
-    block_count,
     block_counts,
     cidr_blocks,
     cidr_set,
@@ -30,15 +28,9 @@ from repro.core.cidr import (
     intersection_counts,
     members_of,
 )
-from repro.core.density import (
-    BlockCountStatistic,
-    DensityResult,
-    density_curve,
-    density_test,
-)
+from repro.core.density import DensityResult, density_curve, density_test
 from repro.core.prediction import (
     BETTER_PREDICTOR_LEVEL,
-    IntersectionStatistic,
     PredictionResult,
     control_intersection_distribution,
     prediction_test,
@@ -54,7 +46,14 @@ from repro.core.tracking import (
     TrackerConfig,
     UncleanlinessTracker,
 )
-from repro.core.trials import TrialEnsemble, TrialStatistic, is_batched
+from repro.core.trials import (
+    BlockCountStatistic,
+    CoveredCountStatistic,
+    IntersectionStatistic,
+    TrialEnsemble,
+    TrialStatistic,
+    is_batched,
+)
 from repro.core.uncleanliness import (
     BlockScores,
     UncleanlinessScorer,
@@ -68,7 +67,6 @@ __all__ = [
     "PREFIX_RANGE",
     "cidr_set",
     "cidr_blocks",
-    "block_count",
     "block_counts",
     "intersection_count",
     "intersection_counts",

@@ -35,9 +35,6 @@ import numpy as np
 from repro.core import cidr as rcidr
 from repro.core.report import DataClass, Report, ReportType
 from repro.core.stats import BoxplotSummary, summarize
-# Re-exported from its new home (repro.core.trials) for existing
-# importers; the statistic itself is predictor-generic and lives with
-# the trial-matrix machinery.
 from repro.core.trials import CoveredCountStatistic
 from repro.flows.log import FlowLog
 from repro.flows.record import Protocol
@@ -49,7 +46,6 @@ __all__ = [
     "CandidatePartition",
     "BlockingRow",
     "BlockingResult",
-    "CoveredCountStatistic",
     "partition_candidates",
     "blocking_test",
     "blocking_test_blocks",

@@ -4,15 +4,12 @@ Implements the paper's notation on whole reports: the set-valued masking
 function :math:`C_n(S)` (Eq. 1), the inclusion relation (Eq. 2), and block
 intersection counts (the quantity inside Eqs. 4 and 5).
 
-The scalar block counter lives canonically in
-:mod:`repro.ipspace.cidr` (which accepts reports directly);
-:func:`block_count` here is a deprecated alias kept for old imports and
-warns once per process.
+The scalar block counter :math:`|C_n(S)|` is
+:func:`repro.ipspace.cidr.block_count`, which accepts reports directly.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterable, Sequence
 
 import numpy as np
@@ -25,7 +22,6 @@ __all__ = [
     "PREFIX_RANGE",
     "cidr_set",
     "cidr_blocks",
-    "block_count",
     "block_counts",
     "intersection_count",
     "intersection_counts",
@@ -47,30 +43,6 @@ def cidr_set(report: Report, prefix_len: int) -> np.ndarray:
 def cidr_blocks(report: Report, prefix_len: int) -> list:
     """:math:`C_n(\\mathcal{R})` as :class:`CIDRBlock` objects."""
     return [CIDRBlock(int(net), prefix_len) for net in cidr_set(report, prefix_len)]
-
-
-_WARNED = set()
-
-
-def _warn_moved(name: str, replacement: str) -> None:
-    if name in _WARNED:
-        return
-    _WARNED.add(name)
-    warnings.warn(
-        f"repro.core.cidr.{name} is deprecated; use {replacement} "
-        f"(the canonical implementation, which accepts reports directly)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def block_count(report: Report, prefix_len: int) -> int:
-    """:math:`|C_n(\\mathcal{R})|`.
-
-    Deprecated alias of :func:`repro.ipspace.cidr.block_count`.
-    """
-    _warn_moved("block_count", "repro.ipspace.cidr.block_count")
-    return _cidr.block_count(report, prefix_len)
 
 
 def block_counts(report: Report, prefixes: Iterable[int] = PREFIX_RANGE) -> Dict[int, int]:

@@ -23,15 +23,11 @@ from repro.core import cidr as rcidr
 from repro.core.report import Report
 from repro.core.sampling import monte_carlo, naive_sample
 from repro.core.stats import BoxplotSummary, summarize
-# Re-exported from their new home (repro.core.trials) for existing
-# importers; the statistic itself is predictor-generic and lives with
-# the trial-matrix machinery.
-from repro.core.trials import BlockCountStatistic, _block_count_vector
+from repro.core.trials import BlockCountStatistic
 from repro.ipspace.kernels import block_counts_2d
 
 __all__ = [
     "DensityResult",
-    "BlockCountStatistic",
     "density_curve",
     "control_density_distribution",
     "naive_density_distribution",
@@ -124,8 +120,8 @@ def control_density_distribution(
 
     Returns ``{n: array of |C_n(subset)| over all subsets}``.  Runs on
     the batched trial-matrix path; values are bit-identical to the
-    per-trial reference (:func:`_block_count_vector` under
-    :func:`~repro.core.sampling.monte_carlo`).
+    per-trial reference (:func:`repro.core.trials._block_count_vector`
+    under :func:`~repro.core.sampling.monte_carlo`).
     """
     prefixes = tuple(prefixes)
     matrix = monte_carlo(

@@ -30,7 +30,11 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.report import DataClass, Report, ReportType
-from repro.core.uncleanliness import BlockScores, UncleanlinessScorer
+from repro.core.uncleanliness import (
+    DEFAULT_WEIGHTS,
+    BlockScores,
+    UncleanlinessScorer,
+)
 from repro.flows.log import FlowLog
 from repro.sim.timeline import DAY_SECONDS, Window
 
@@ -65,13 +69,10 @@ CLASS_OF_TAG: Dict[str, str] = {
 #: The scoring classes in evaluation order.
 CLASS_ORDER: Tuple[str, ...] = tuple(CLASS_OF_TAG.values())
 
-#: Default per-class weights for the streaming scorer (the §7 defaults
-#: restricted to the classes the stream actually folds).
-DEFAULT_CLASS_WEIGHTS: Tuple[Tuple[str, float], ...] = (
-    (DataClass.BOTS, 1.0),
-    (DataClass.SCANNING, 0.8),
-    (DataClass.SPAM, 0.8),
-    (DataClass.PHISHING, 0.5),
+#: Default per-class weights for the streaming scorer: the §7 defaults
+#: restricted to the classes the stream actually folds, in CLASS_ORDER.
+DEFAULT_CLASS_WEIGHTS: Tuple[Tuple[str, float], ...] = tuple(
+    (cls, DEFAULT_WEIGHTS[cls]) for cls in CLASS_ORDER
 )
 
 #: Metadata of the observed (detector-generated) report tags.

@@ -23,15 +23,11 @@ from repro.core import cidr as rcidr
 from repro.core.report import Report
 from repro.core.sampling import monte_carlo
 from repro.core.stats import BoxplotSummary, exceedance_fraction, summarize
-# Re-exported from their new home (repro.core.trials) for existing
-# importers; the statistic itself is predictor-generic and lives with
-# the trial-matrix machinery.
-from repro.core.trials import IntersectionStatistic, _intersection_vector
+from repro.core.trials import IntersectionStatistic
 
 __all__ = [
     "BETTER_PREDICTOR_LEVEL",
     "PredictionResult",
-    "IntersectionStatistic",
     "control_intersection_distribution",
     "prediction_test_blocks",
     "prediction_test",

@@ -25,7 +25,6 @@ comparison, so scaling preserves shape.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -132,7 +131,8 @@ class ScenarioConfig:
 
         Two configs sharing a seed but differing anywhere — even deep in
         a sub-config — fingerprint differently; the artifact store and
-        :func:`repro.experiments.common.default_scenario` key on this.
+        the scenario cache behind :func:`repro.api.run_scenario` key on
+        this.
         """
         return _fingerprint(self)
 
@@ -152,23 +152,6 @@ class ScenarioConfig:
         )
 
 
-_DIRECT_INIT_WARNED = False
-
-
-def _warn_direct_construction() -> None:
-    global _DIRECT_INIT_WARNED
-    if _DIRECT_INIT_WARNED:
-        return
-    _DIRECT_INIT_WARNED = True
-    warnings.warn(
-        "constructing PaperScenario directly is deprecated; use "
-        "repro.api.run_scenario(), which shares scenarios per config "
-        "fingerprint and returns a frozen ScenarioRun handle",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 class PaperScenario:
     """Lazy facade over the staged pipeline; same attribute API as ever.
 
@@ -179,23 +162,6 @@ class PaperScenario:
     """
 
     def __init__(self, config: Optional[ScenarioConfig] = None, *, engine=None) -> None:
-        _warn_direct_construction()
-        self._init(config, engine=engine)
-
-    @classmethod
-    def _create(
-        cls, config: Optional[ScenarioConfig] = None, *, engine=None
-    ) -> "PaperScenario":
-        """Internal constructor: no deprecation warning.
-
-        Library code (``repro.api``, the CLI, benchmarks) goes through
-        here; the public path is :func:`repro.api.run_scenario`.
-        """
-        scenario = object.__new__(cls)
-        scenario._init(config, engine=engine)
-        return scenario
-
-    def _init(self, config: Optional[ScenarioConfig], *, engine=None) -> None:
         self.config = config or ScenarioConfig()
         self.config.validate()
         if engine is None:

@@ -15,30 +15,38 @@ visible so that bot-like and phishing-like uncleanliness can be weighted
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core import cidr as rcidr
 from repro.core.report import Report
 from repro.ipspace.addr import AddressLike
-from repro.ipspace.cidr import CIDRBlock, mask_address
-from repro.ipspace.cidr import mask_array as _mask
+from repro.ipspace.cidr import CIDRBlock, mask_address, mask_array
+from repro.ipspace.kernels import merge_unique
 
-__all__ = ["BlockScores", "UncleanlinessScorer", "block_jaccard"]
+__all__ = [
+    "DEFAULT_WEIGHTS",
+    "BlockScores",
+    "UncleanlinessScorer",
+    "block_jaccard",
+]
 
 #: Default per-class weights: bots and their activity classes co-move
 #: (Figure 4), phishing is an independent dimension (Figure 5), and
 #: observed C&C rendezvous (the §7 extension indicator) is conclusive
 #: evidence of occupation.
-_DEFAULT_WEIGHTS = {
-    "bots": 1.0,
-    "scanning": 0.8,
-    "spam": 0.8,
-    "phishing": 0.5,
-    "cnc": 1.0,
-}
+DEFAULT_WEIGHTS: Mapping[str, float] = MappingProxyType(
+    {
+        "bots": 1.0,
+        "scanning": 0.8,
+        "spam": 0.8,
+        "phishing": 0.5,
+        "cnc": 1.0,
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -88,16 +96,50 @@ class BlockScores:
     def __len__(self) -> int:
         return int(self.blocks.size)
 
+    @classmethod
+    def from_counts(
+        cls,
+        prefix_len: int,
+        per_class: Mapping[str, Tuple[np.ndarray, np.ndarray]],
+        weights: Mapping[str, float],
+    ) -> "BlockScores":
+        """The §7 score table from per-class block counts.
+
+        ``per_class`` maps each class to ``(blocks, counts)``: its sorted
+        unique masked networks and the member-address count of each.
+        Every class contributes saturating evidence ``1 - exp(-count/4)``
+        and the classes combine through a ``weights``-weighted noisy-OR,
+        multiplied in ``per_class`` order — floating multiplication is
+        not associative, so two callers agree bit for bit only when they
+        pass their classes in the same order.
+        """
+        blocks = np.zeros(0, dtype=np.uint32)
+        for nets, _ in per_class.values():
+            blocks, _ = merge_unique(blocks, nets)
+        class_counts: Dict[str, np.ndarray] = {}
+        miss_probability = np.ones(blocks.size, dtype=np.float64)
+        for name, (nets, counts) in per_class.items():
+            column = np.zeros(blocks.size, dtype=np.int64)
+            column[np.searchsorted(blocks, nets)] = counts
+            class_counts[name] = column
+            evidence = 1.0 - np.exp(-column / 4.0)  # saturates around ~12 addrs
+            miss_probability *= 1.0 - np.clip(weights[name], 0, 1) * evidence
+        return cls(
+            prefix_len=prefix_len,
+            blocks=blocks,
+            class_counts=class_counts,
+            scores=1.0 - miss_probability,
+        )
+
 
 class UncleanlinessScorer:
     """Aggregates report classes into per-block uncleanliness scores.
 
     Each class contributes a saturating evidence term
-    ``1 - (1 + count)^(-1)``-style via ``log1p`` normalisation, so one
-    spammer does not equal thirty, but thirty does not equal three
-    thousand either; class terms combine through a weighted
-    noisy-OR, reflecting "aggregate probability that an address is
-    occupied" (§7).
+    ``1 - exp(-count / 4)``, so one spammer does not equal thirty, but
+    thirty does not equal three thousand either; class terms combine
+    through a weighted noisy-OR (:meth:`BlockScores.from_counts`),
+    reflecting "aggregate probability that an address is occupied" (§7).
     """
 
     def __init__(
@@ -108,7 +150,7 @@ class UncleanlinessScorer:
         if not 0 <= prefix_len <= 32:
             raise ValueError(f"prefix length out of range: {prefix_len}")
         self.prefix_len = prefix_len
-        self.weights = dict(weights) if weights is not None else dict(_DEFAULT_WEIGHTS)
+        self.weights = dict(weights) if weights is not None else dict(DEFAULT_WEIGHTS)
         for cls, weight in self.weights.items():
             if weight < 0:
                 raise ValueError(f"negative weight for class {cls!r}")
@@ -125,32 +167,13 @@ class UncleanlinessScorer:
         if not reports:
             raise ValueError("at least one report is required")
 
-        all_blocks = np.unique(
-            np.concatenate(
-                [rcidr.cidr_set(report, self.prefix_len) for report in reports.values()]
+        per_class = {
+            cls: np.unique(
+                mask_array(report.addresses, self.prefix_len), return_counts=True
             )
-        )
-        class_counts: Dict[str, np.ndarray] = {}
-        for cls, report in reports.items():
-            masked = np.sort(_mask(report.addresses, self.prefix_len))
-            # Count addresses per block via searchsorted range boundaries.
-            left = np.searchsorted(masked, all_blocks, side="left")
-            right = np.searchsorted(masked, all_blocks, side="right")
-            class_counts[cls] = (right - left).astype(np.int64)
-
-        # Noisy-OR over per-class saturating evidence.
-        miss_probability = np.ones(all_blocks.size, dtype=np.float64)
-        for cls, counts in class_counts.items():
-            evidence = 1.0 - np.exp(-counts / 4.0)  # saturates around ~12 addrs
-            miss_probability *= 1.0 - np.clip(self.weights[cls], 0, 1) * evidence
-        scores = 1.0 - miss_probability
-
-        return BlockScores(
-            prefix_len=self.prefix_len,
-            blocks=all_blocks,
-            class_counts=class_counts,
-            scores=scores,
-        )
+            for cls, report in reports.items()
+        }
+        return BlockScores.from_counts(self.prefix_len, per_class, self.weights)
 
 
 def block_jaccard(first: Report, second: Report, prefix_len: int) -> float:

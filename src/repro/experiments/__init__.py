@@ -17,7 +17,7 @@ from repro.experiments import (
     table2,
     table3,
 )
-from repro.experiments.common import default_scenario, render_table
+from repro.experiments.common import render_table
 
 __all__ = [
     "figure1",
@@ -30,6 +30,5 @@ __all__ = [
     "table3",
     "ablation",
     "plotting",
-    "default_scenario",
     "render_table",
 ]

@@ -71,7 +71,7 @@ def uncleanliness_tail_ablation(
         config = replace(
             config, internet=replace(config.internet, uncleanliness_alpha=alpha)
         )
-        scenario = PaperScenario._create(config)
+        scenario = PaperScenario(config)
         rng = np.random.default_rng(seed)
         result = density_test(
             scenario.bot, scenario.control, rng, subsets=_SUBSETS
@@ -105,7 +105,7 @@ def report_age_ablation(
     from repro.sim.timeline import PAPER_WINDOWS, Window
 
     config = _small_config(seed)
-    scenario = PaperScenario._create(config)
+    scenario = PaperScenario(config)
     rng = np.random.default_rng(seed)
     rows = []
     for gap in gaps_days:
@@ -150,7 +150,7 @@ def estimator_ablation(
     fold when measured against the naive estimate — the reason the paper
     (Fig. 2) adopts the empirical estimate.
     """
-    scenario = scenario or PaperScenario._create(_small_config(seed))
+    scenario = scenario or PaperScenario(_small_config(seed))
     rng = np.random.default_rng(seed)
     size = len(scenario.bot)
     empirical = scenario.control.sample(size, rng)
@@ -184,7 +184,7 @@ def prefix_band_ablation(
     prefixes, the unclean report dominant in the mid band, and both
     predictors starving (intersections -> 0) at the long end.
     """
-    scenario = scenario or PaperScenario._create(_small_config(seed))
+    scenario = scenario or PaperScenario(_small_config(seed))
     rng = np.random.default_rng(seed)
     result = prediction_test(
         scenario.bot_test, scenario.bot, scenario.control, rng, subsets=subsets
@@ -223,7 +223,7 @@ def evasion_ablation(
     from repro.sim.timeline import PAPER_WINDOWS
 
     config = _small_config(seed)
-    baseline = PaperScenario._create(config)
+    baseline = PaperScenario(config)
     avoided = rcidr.cidr_set(baseline.bot_test, 24)
 
     rows = []
@@ -277,7 +277,7 @@ def clustering_ablation(
     """
     from repro.ipspace.clusters import synthesize_table
 
-    scenario = PaperScenario._create(_small_config(seed))
+    scenario = PaperScenario(_small_config(seed))
     rng = np.random.default_rng(seed)
     size = len(scenario.bot)
 

@@ -1,56 +1,10 @@
-"""Shared helpers for the experiment modules: table rendering, plus the
-deprecated scenario-cache shims.
-
-The scenario cache moved to :mod:`repro.api` (one scenario per config
-fingerprint, shared with :func:`repro.api.run_scenario`);
-:func:`default_scenario` and :func:`clear_scenario_cache` remain as
-thin delegating shims so old imports keep working, with a one-time
-``DeprecationWarning`` each.  :func:`render_table` is not deprecated.
-"""
+"""Shared helpers for the experiment modules: table rendering."""
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Sequence
 
-from repro.core.scenario import PaperScenario, ScenarioConfig
-
-__all__ = ["render_table", "default_scenario", "clear_scenario_cache"]
-
-_WARNED = set()
-
-
-def _warn_moved(name: str) -> None:
-    if name in _WARNED:
-        return
-    _WARNED.add(name)
-    warnings.warn(
-        f"repro.experiments.common.{name} is deprecated; use repro.api "
-        f"(run_scenario / clear_scenario_cache) — the cache behind both "
-        f"is the same",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def default_scenario(config: Optional[ScenarioConfig] = None) -> PaperScenario:
-    """Deprecated: the shared scenario for a config (see :mod:`repro.api`).
-
-    Delegates to the facade's fingerprint-keyed cache, so mixing old and
-    new call sites still yields one scenario per configuration.
-    """
-    from repro import api
-
-    _warn_moved("default_scenario")
-    return api._scenario_for(config)
-
-
-def clear_scenario_cache() -> None:
-    """Deprecated: drop the shared scenarios (see :mod:`repro.api`)."""
-    from repro import api
-
-    _warn_moved("clear_scenario_cache")
-    api.clear_scenario_cache()
+__all__ = ["render_table"]
 
 
 def render_table(rows: Sequence[dict], columns: Optional[Sequence[str]] = None) -> str:

@@ -145,9 +145,11 @@ class Clearinghouse:
     def pooled_report(self, tag: str, exclude: Sequence[str] = ()) -> Report:
         """The union of every available feed's ``tag`` report.
 
-        Unions are computed as sorted unique address sets, so the result
-        is independent of feed order and of which retry attempt produced
-        each feed.  Raises :class:`QuorumError` when no feed remains.
+        Unions are computed as sorted unique address sets and the period
+        spans the earliest start to the latest end of the carriers that
+        have one, so the result is independent of feed order and of
+        which retry attempt produced each feed.  Raises
+        :class:`QuorumError` when no feed remains.
         """
         sources = self._sources(exclude)
         carriers = [feed for feed in sources if tag in feed.reports]
@@ -158,16 +160,19 @@ class Clearinghouse:
                     f"(stale={list(self.stale)} quarantined={list(self.quarantined)})"
                 )
             raise KeyError(f"no available feed carries report tag {tag!r}")
-        template = carriers[0].reports[tag]
-        merged = np.unique(
-            np.concatenate([feed.reports[tag].addresses for feed in carriers])
-        )
+        reports = [feed.reports[tag] for feed in carriers]
+        merged = np.unique(np.concatenate([report.addresses for report in reports]))
+        periods = [report.period for report in reports if report.period]
         return Report(
             tag=f"pool:{tag}",
             addresses=merged,
             report_type=ReportType.PROVIDED,
-            data_class=template.data_class,
-            period=template.period,
+            data_class=reports[0].data_class,
+            period=(
+                (min(start for start, _ in periods), max(end for _, end in periods))
+                if periods
+                else None
+            ),
         )
 
     def _score(self, feeds_reports: Mapping[str, Report]) -> BlockScores:

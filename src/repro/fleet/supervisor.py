@@ -128,7 +128,7 @@ def scenario_reports(
     """
     from repro.core.scenario import PaperScenario
 
-    scenario = PaperScenario._create(shard.config)
+    scenario = PaperScenario(shard.config)
     reports = {tag: scenario.report(tag) for tag in feed_tags}
     if shard.vantage_as is not None:
         internet = scenario.internet

@@ -151,9 +151,7 @@ def unique_blocks(addresses: Iterable[AddressLike], prefix_len: int) -> np.ndarr
 def block_count(addresses: Iterable[AddressLike], prefix_len: int) -> int:
     """:math:`|C_n(S)|`: how many distinct *n*-bit blocks cover ``S``.
 
-    The canonical implementation — ``addresses`` may be an address
-    array/iterable or a report (``repro.core.cidr.block_count`` is a
-    deprecated alias of this function).
+    ``addresses`` may be an address array/iterable or a report.
     """
     return int(unique_blocks(addresses, prefix_len).size)
 

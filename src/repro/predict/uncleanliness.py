@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional
 
 from repro.core.report import DataClass, Report
-from repro.core.uncleanliness import _DEFAULT_WEIGHTS, UncleanlinessScorer
+from repro.core.uncleanliness import DEFAULT_WEIGHTS, UncleanlinessScorer
 from repro.predict.protocol import BasePredictor, BlockRanking
 
 __all__ = ["UncleanlinessPredictor"]
@@ -69,7 +69,7 @@ class UncleanlinessPredictor(BasePredictor):
         if self._weights is not None:
             base = dict(self._weights)
         else:
-            base = dict(_DEFAULT_WEIGHTS)
+            base = dict(DEFAULT_WEIGHTS)
         for cls in classes:
             base.setdefault(cls, 1.0)
         return base

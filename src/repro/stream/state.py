@@ -96,9 +96,6 @@ class StreamConfig:
         self.scan_detector.validate()
         self.spam_detector.validate()
 
-    def weight_of(self, data_class: str) -> float:
-        return dict(self.weights)[data_class]
-
 
 class BlockCounter:
     """Exact address counts per CIDR block at one prefix length.
@@ -335,39 +332,25 @@ class IncrementalState:
     def _rebuild_derived(self) -> None:
         """Recompute scores/blocklist/indexes from the exact counters.
 
-        Mirrors :meth:`UncleanlinessScorer.score` exactly: same block
-        union, same integer counts, same evidence arithmetic in the
-        same class order — the counters make the counts identical and
-        this makes the floats identical.
+        The score table comes from :meth:`BlockScores.from_counts`, the
+        same function :meth:`UncleanlinessScorer.score` uses, fed the
+        counters in :data:`repro.core.folds.CLASS_ORDER`: the counters
+        make the counts identical and the shared function and class
+        order make the floats identical.
         """
-        blocks = _EMPTY_U32
-        for cls in folds.CLASS_ORDER:
-            blocks, _ = merge_unique(blocks, self._class_counters[cls].blocks)
-        class_counts: Dict[str, np.ndarray] = {}
-        for cls in folds.CLASS_ORDER:
-            counter = self._class_counters[cls]
-            column = np.zeros(blocks.size, dtype=np.int64)
-            if counter.blocks.size:
-                column[np.searchsorted(blocks, counter.blocks)] = counter.counts
-            class_counts[cls] = column
-
-        miss_probability = np.ones(blocks.size, dtype=np.float64)
-        for cls in folds.CLASS_ORDER:
-            evidence = 1.0 - np.exp(-class_counts[cls] / 4.0)
-            miss_probability *= (
-                1.0 - np.clip(self.config.weight_of(cls), 0, 1) * evidence
-            )
-        scores = 1.0 - miss_probability
-
-        self._scores = BlockScores(
-            prefix_len=self.config.prefix_len,
-            blocks=blocks,
-            class_counts=class_counts,
-            scores=scores,
+        counters = self._class_counters
+        self._scores = BlockScores.from_counts(
+            self.config.prefix_len,
+            {
+                cls: (counters[cls].blocks, counters[cls].counts)
+                for cls in folds.CLASS_ORDER
+            },
+            dict(self.config.weights),
         )
         self._blocklist = folds.blocklist_networks(self._scores, self.config.threshold)
         self._score_index = IntervalIndex.from_blocks(
-            blocks, self.config.prefix_len, values=scores
+            self._scores.blocks, self.config.prefix_len,
+            values=self._scores.scores,
         )
         self._block_index = IntervalIndex.from_blocks(
             self._blocklist, self.config.prefix_len

@@ -1,9 +1,9 @@
-"""The public facade: acceptance imports, equivalence, deprecation shims."""
+"""The public facade: acceptance imports, equivalence, removed names."""
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
+import importlib
 
 import numpy as np
 import pytest
@@ -14,30 +14,23 @@ from repro.api import (
     DensityResult,
     PredictionResult,
     ScenarioRun,
-    density_test,
-    evaluate_blocking,
-    prediction_test,
+    evaluate,
     run_scenario,
 )
 from repro.core.scenario import PaperScenario, ScenarioConfig
 
 
 def test_acceptance_import_line():
-    """The exact import line the issue promises must work."""
-    from repro.api import (  # noqa: F401
-        run_scenario,
-        density_test,
-        prediction_test,
-        evaluate_blocking,
-    )
+    """The facade's documented import line must work."""
+    from repro.api import run_scenario, evaluate, compare  # noqa: F401
 
 
 def test_top_level_reexports_facade_only():
     assert repro.run_scenario is run_scenario
-    assert repro.density_test is density_test
-    assert repro.prediction_test is prediction_test
-    assert repro.evaluate_blocking is evaluate_blocking
-    assert repro.__version__ == "1.2.0"
+    assert repro.evaluate is evaluate
+    assert repro.__version__ == "2.0.0"
+    for name in repro.__all__:
+        assert getattr(repro, name) is not None, name
 
 
 def test_run_scenario_returns_frozen_shared_handle(small_scenario):
@@ -76,7 +69,7 @@ def test_density_test_facade_matches_core(small_scenario):
     from repro.core.density import density_test as core_density
 
     run = run_scenario(small=True)
-    facade = density_test(run, "bot", subsets=50)
+    facade = evaluate(run, metric="density", train="bot", subsets=50)
     expected = core_density(
         small_scenario.report("bot"),
         small_scenario.report("control"),
@@ -93,24 +86,35 @@ def test_density_test_facade_matches_core(small_scenario):
 
 def test_density_test_accepts_every_scenario_form(small_scenario):
     run = run_scenario(small=True)
-    by_run = density_test(run, "bot", subsets=20, seed=5)
-    by_config = density_test(ScenarioConfig.small(), "bot", subsets=20, seed=5)
-    by_scenario = density_test(run.scenario, "bot", subsets=20, seed=5)
+
+    def density(scenario):
+        return evaluate(
+            scenario, metric="density", train="bot", subsets=20, seed=5
+        )
+
+    by_run = density(run)
+    by_config = density(ScenarioConfig.small())
+    by_scenario = density(run.scenario)
     assert by_run.observed == by_config.observed == by_scenario.observed
     assert by_run.control == by_config.control == by_scenario.control
     with pytest.raises(TypeError, match="expected a ScenarioRun"):
-        density_test(42, "bot")
+        density(42)
 
 
 def test_rng_and_seed_are_mutually_exclusive(small_scenario):
     run = run_scenario(small=True)
     with pytest.raises(ValueError, match="rng or seed"):
-        density_test(run, "bot", rng=np.random.default_rng(0), seed=1)
+        evaluate(
+            run, metric="density", train="bot",
+            rng=np.random.default_rng(0), seed=1,
+        )
 
 
 def test_prediction_test_facade(small_scenario):
     run = run_scenario(small=True)
-    result = prediction_test(run, "bot-test", "bot", subsets=50)
+    result = evaluate(
+        run, metric="prediction", train="bot-test", present="bot", subsets=50
+    )
     assert isinstance(result, PredictionResult)
     assert result.past_tag == "bot-test"
     assert result.present_tag == "bot"
@@ -120,45 +124,71 @@ def test_prediction_test_facade(small_scenario):
 
 def test_evaluate_blocking_facade(small_scenario):
     run = run_scenario(small=True)
-    result = evaluate_blocking(run)
+    result = evaluate(run, metric="blocking")
     assert isinstance(result, BlockingResult)
     assert [row.prefix for row in result.rows] == list(range(24, 33))
 
 
-# -- deprecation shims ------------------------------------------------------
+# -- names removed in 2.0 ---------------------------------------------------
+
+#: Deep names the top-level package served lazily before 2.0.
+FORMER_TOP_LEVEL_NAMES = (
+    "ReportType",
+    "DataClass",
+    "CIDRBlock",
+    "PREFIX_RANGE",
+    "BETTER_PREDICTOR_LEVEL",
+    "BLOCKING_PREFIXES",
+    "CandidatePartition",
+    "partition_candidates",
+    "blocking_test",
+    "UncleanlinessScorer",
+    "BlockScores",
+    "block_jaccard",
+    "PaperScenario",
+)
 
 
-def test_direct_scenario_construction_warns_once(small_scenario):
-    import repro.core.scenario as scenario_mod
-
-    old = scenario_mod._DIRECT_INIT_WARNED
-    scenario_mod._DIRECT_INIT_WARNED = False
-    try:
-        with pytest.warns(DeprecationWarning, match="repro.api.run_scenario"):
-            PaperScenario(ScenarioConfig.small())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second construction is silent
-            PaperScenario(ScenarioConfig.small())
-    finally:
-        scenario_mod._DIRECT_INIT_WARNED = old
+def test_legacy_top_level_names_removed():
+    for name in FORMER_TOP_LEVEL_NAMES:
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
+        assert name not in dir(repro)
 
 
-def test_legacy_top_level_names_warn_once():
-    repro._LEGACY_WARNED.discard("PaperScenario")
-    with pytest.warns(DeprecationWarning, match="top-level 'repro' package"):
-        assert repro.PaperScenario is PaperScenario
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert repro.PaperScenario is PaperScenario  # silent on repeat
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.api", "density_test"),
+        ("repro.api", "prediction_test"),
+        ("repro.api", "evaluate_blocking"),
+        ("repro.core.cidr", "block_count"),
+        ("repro.core", "block_count"),
+        ("repro.experiments", "default_scenario"),
+        ("repro.experiments.common", "default_scenario"),
+        ("repro.experiments.common", "clear_scenario_cache"),
+    ],
+)
+def test_removed_names_are_gone(module, name):
+    assert not hasattr(importlib.import_module(module), name)
 
 
-def test_experiments_common_shim_warns_and_shares_cache(small_scenario):
-    import repro.experiments.common as common
+def test_statistics_exported_from_trials_only():
+    from repro.core import blocking, density, prediction, trials
 
-    common._WARNED.discard("default_scenario")
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        legacy = common.default_scenario(ScenarioConfig.small())
-    assert legacy is run_scenario(small=True).scenario
+    for module, name in (
+        (density, "BlockCountStatistic"),
+        (prediction, "IntersectionStatistic"),
+        (blocking, "CoveredCountStatistic"),
+    ):
+        assert name not in module.__all__
+        assert name in trials.__all__
+
+
+def test_paper_scenario_has_one_constructor():
+    assert not hasattr(PaperScenario, "_create")
+    scenario = PaperScenario(ScenarioConfig.small())
+    assert scenario.config == ScenarioConfig.small()
 
 
 def test_unknown_top_level_name_raises():

@@ -212,11 +212,9 @@ class TestControlBlockingDistribution:
         assert observed_tp >= dist["hostile"][24].median
 
     def test_matrix_matches_per_trial_reference(self, flows, bot_test, unclean, control):
-        from repro.core.blocking import (
-            CoveredCountStatistic,
-            monte_carlo_covered_counts,
-        )
+        from repro.core.blocking import monte_carlo_covered_counts
         from repro.core.sampling import monte_carlo
+        from repro.core.trials import CoveredCountStatistic
 
         part = partition_candidates(flows, bot_test, unclean)
         prefixes = (24, 32)

@@ -1,7 +1,5 @@
 """Unit tests for repro.core.cidr (report-level CIDR operations)."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -48,23 +46,6 @@ class TestCidrSet:
             count = icidr.block_count(r, n)
             assert count >= previous
             previous = count
-
-
-class TestDeprecatedBlockCount:
-    def test_shim_delegates_and_warns_once(self):
-        r = report("r", ["10.1.1.1", "10.1.1.2", "10.2.0.1"])
-        rcidr._WARNED.discard("block_count")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = rcidr.block_count(r, 24)
-            second = rcidr.block_count(r, 16)
-        assert first == icidr.block_count(r, 24)
-        assert second == icidr.block_count(r, 16)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.ipspace.cidr.block_count" in str(deprecations[0].message)
 
 
 class TestIntersection:

@@ -7,8 +7,6 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.core.density import _block_count_vector
-from repro.core.prediction import _intersection_vector
 from repro.core.report import Report
 from repro.core.sampling import (
     MonteCarloFailure,
@@ -20,6 +18,7 @@ from repro.core.sampling import (
     resolve_workers,
     trial_seed,
 )
+from repro.core.trials import _block_count_vector, _intersection_vector
 from repro.engine import faults
 from repro.core import cidr as rcidr
 from repro.ipspace.addr import first_octet
@@ -401,8 +400,8 @@ class TestSupervisedMonteCarlo:
         assert _statistic_tag(first).startswith("f.x.-")
 
     def test_statistic_tags_use_label_when_present(self):
-        from repro.core.density import BlockCountStatistic
         from repro.core.sampling import _statistic_tag
+        from repro.core.trials import BlockCountStatistic
 
         tag = _statistic_tag(BlockCountStatistic((16, 24)))
         assert tag.startswith("block-counts.16.24.")

@@ -12,12 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.blocking import CoveredCountStatistic
-from repro.core.density import BlockCountStatistic, _block_count_vector
-from repro.core.prediction import IntersectionStatistic, _intersection_vector
 from repro.core.report import Report
 from repro.core.sampling import monte_carlo
-from repro.core.trials import TrialEnsemble, TrialStatistic, is_batched, trial_seed
+from repro.core.trials import (
+    BlockCountStatistic,
+    CoveredCountStatistic,
+    IntersectionStatistic,
+    TrialEnsemble,
+    TrialStatistic,
+    _block_count_vector,
+    _intersection_vector,
+    is_batched,
+    trial_seed,
+)
 from repro.core import cidr as rcidr
 
 PREFIXES = (16, 20, 24, 28, 32)

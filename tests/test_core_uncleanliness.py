@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.report import Report
-from repro.core.uncleanliness import UncleanlinessScorer, block_jaccard
+from repro.core.uncleanliness import (
+    DEFAULT_WEIGHTS,
+    BlockScores,
+    UncleanlinessScorer,
+    block_jaccard,
+)
 from repro.ipspace.cidr import CIDRBlock
 
 
@@ -35,6 +40,13 @@ class TestScorer:
     def test_more_addresses_score_higher(self, reports):
         scores = UncleanlinessScorer().score(reports)
         assert scores.score_of("50.0.1.1") > scores.score_of("50.0.2.1")
+
+    def test_section7_formula(self, reports):
+        # 50.0.1.0/24: three bots (weight 1), one scanner (weight 0.8),
+        # no phishing — a noisy-OR of saturating 1 - exp(-count / 4).
+        scores = UncleanlinessScorer().score(reports)
+        expected = 1.0 - np.exp(-3 / 4) * (1.0 - 0.8 * (1.0 - np.exp(-1 / 4)))
+        assert scores.score_of("50.0.1.1") == pytest.approx(expected, rel=1e-12)
 
     def test_unseen_block_scores_zero(self, reports):
         scores = UncleanlinessScorer().score(reports)
@@ -92,6 +104,32 @@ class TestScorer:
         scores = UncleanlinessScorer(weights=weights).score(reports)
         assert scores.score_of("70.0.0.1") == 0.0
         assert scores.score_of("50.0.1.1") > 0.0
+
+
+class TestFromCounts:
+    def test_union_scatter_and_noisy_or(self):
+        per_class = {
+            "bots": (np.array([10, 30], dtype=np.uint32), np.array([2, 1])),
+            "spam": (np.array([20, 30], dtype=np.uint32), np.array([4, 8])),
+        }
+        scores = BlockScores.from_counts(24, per_class, DEFAULT_WEIGHTS)
+        assert scores.blocks.tolist() == [10, 20, 30]
+        assert scores.class_counts["bots"].tolist() == [2, 0, 1]
+        assert scores.class_counts["spam"].tolist() == [0, 4, 8]
+        bots = 1.0 - np.exp(-np.array([2, 0, 1]) / 4.0)
+        spam = 1.0 - np.exp(-np.array([0, 4, 8]) / 4.0)
+        expected = 1.0 - (1.0 - bots) * (1.0 - 0.8 * spam)
+        np.testing.assert_allclose(scores.scores, expected, rtol=1e-12)
+
+    def test_empty_classes_give_empty_table(self):
+        empty = (np.zeros(0, dtype=np.uint32), np.zeros(0, dtype=np.int64))
+        scores = BlockScores.from_counts(24, {"bots": empty}, DEFAULT_WEIGHTS)
+        assert len(scores) == 0
+        assert scores.score_of("1.2.3.4") == 0.0
+
+    def test_default_weights_are_read_only(self):
+        with pytest.raises(TypeError):
+            DEFAULT_WEIGHTS["bots"] = 0.0
 
 
 class TestBlockJaccard:

@@ -7,6 +7,7 @@ from dataclasses import make_dataclass, replace
 import numpy as np
 import pytest
 
+from repro.api import clear_scenario_cache, run_scenario
 from repro.cli import main
 from repro.core.report import Report
 from repro.core.scenario import PaperScenario, ScenarioConfig
@@ -24,7 +25,6 @@ from repro.engine import (
     reset_default_store,
     resolve_cache_dir,
 )
-from repro.experiments.common import clear_scenario_cache, default_scenario
 
 
 @pytest.fixture
@@ -207,17 +207,17 @@ class TestStageEngine:
         """Regression: the old seed-keyed cache evicted on alternation."""
         config_a = ScenarioConfig.small(seed=91)
         config_b = replace(config_a, control_size=5_000)
-        scenario_a = default_scenario(config_a)
-        scenario_b = default_scenario(config_b)
+        scenario_a = run_scenario(config_a).scenario
+        scenario_b = run_scenario(config_b).scenario
         assert len(scenario_a.control) == 20_000
         assert len(scenario_b.control) == 5_000
         engine = scenario_engine()
         assert engine.build_counts["reports"] == 2
         for _ in range(3):  # alternating calls must not rebuild anything
-            assert default_scenario(config_a) is scenario_a
-            assert default_scenario(config_b) is scenario_b
-            assert len(default_scenario(config_a).control) == 20_000
-            assert len(default_scenario(config_b).control) == 5_000
+            assert run_scenario(config_a).scenario is scenario_a
+            assert run_scenario(config_b).scenario is scenario_b
+            assert len(run_scenario(config_a).control) == 20_000
+            assert len(run_scenario(config_b).control) == 5_000
         assert engine.build_counts["reports"] == 2
         assert engine.build_counts["internet"] == 2
 

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import cidr as rcidr
-from repro.core.density import BlockCountStatistic
-from repro.core.prediction import IntersectionStatistic
 from repro.core.report import DataClass, Report, ReportType
 from repro.core.sampling import (
     SHM_ENV,
@@ -17,7 +15,11 @@ from repro.core.sampling import (
     _SharedStatistic,
     monte_carlo,
 )
-from repro.core.trials import TrialEnsemble
+from repro.core.trials import (
+    BlockCountStatistic,
+    IntersectionStatistic,
+    TrialEnsemble,
+)
 from repro.engine import shm
 
 pytestmark = pytest.mark.skipif(

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments import figure1
-from repro.experiments.common import clear_scenario_cache, default_scenario
 from repro.flows.generator import TrafficConfig
 from repro.sim.botnet import BotnetConfig
 from repro.sim.internet import InternetConfig
@@ -53,27 +52,3 @@ class TestFigure1:
         text = figure1.format_result(result)
         assert "peak overlap fraction" in text
         assert "activity drops after report" in text
-
-
-class TestScenarioCache:
-    def test_default_scenario_cached_by_config(self):
-        from repro.core.scenario import ScenarioConfig
-
-        clear_scenario_cache()
-        config = ScenarioConfig.small(seed=91)
-        first = default_scenario(config)
-        second = default_scenario(config)
-        assert first is second
-
-    def test_different_config_rebuilds(self):
-        from dataclasses import replace
-
-        from repro.core.scenario import ScenarioConfig
-
-        clear_scenario_cache()
-        config = ScenarioConfig.small(seed=92)
-        first = default_scenario(config)
-        changed = replace(config, bot_test_size=50)
-        second = default_scenario(changed)
-        assert first is not second
-        clear_scenario_cache()

@@ -18,6 +18,9 @@ import numpy as np
 from repro.core.scenario import ScenarioConfig
 from repro.engine.store import STORE_FORMAT_VERSION
 from repro.scenarios import get_pack
+from repro.sim.timeline import PAPER_WINDOWS
+from repro.stream import StreamConfig
+from repro.stream.checkpoint import stream_fingerprint
 
 #: The paper-scale default config, pinned before the AS refactor.
 DEFAULT_FINGERPRINT = "21f6941dea4a3dc3c4d479fef99ac558"
@@ -32,6 +35,11 @@ SMALL_REPORTS_CHECKSUM = (
     "ad1f234d830248662e3644a3ff92e6269a8c508c4f2b9bf03d61ece87da1c66b"
 )
 
+#: The default stream config over the default world: the namespace of
+#: its day checkpoints.  It embeds the §7 class weights, so moving where
+#: those are defined must not change their value or order.
+DEFAULT_STREAM_FINGERPRINT = "914cd7e273e3df8a295d64edd35bef57"
+
 
 def test_default_fingerprint_pinned():
     assert ScenarioConfig().fingerprint() == DEFAULT_FINGERPRINT
@@ -39,6 +47,14 @@ def test_default_fingerprint_pinned():
 
 def test_small_fingerprint_pinned():
     assert ScenarioConfig.small().fingerprint() == SMALL_FINGERPRINT
+
+
+def test_default_stream_fingerprint_pinned():
+    config = StreamConfig(window=PAPER_WINDOWS.OCTOBER)
+    assert (
+        stream_fingerprint(config, ScenarioConfig().fingerprint())
+        == DEFAULT_STREAM_FINGERPRINT
+    )
 
 
 def test_small_reports_checksum_pinned(small_scenario):

@@ -1,9 +1,12 @@
 """Tests for the sharded fleet supervisor and the clearinghouse."""
 
+import datetime
+
 import numpy as np
 import pytest
 
 from repro.core import folds
+from repro.core.report import Report
 from repro.core.uncleanliness import UncleanlinessScorer
 from repro.engine import faults
 from repro.engine.store import ArtifactStore
@@ -310,6 +313,32 @@ class TestStaleness:
         assert status == {
             "net-a": "fresh", "net-b": "quarantined", "net-c": "fresh",
         }
+
+
+class TestPooledReport:
+    @staticmethod
+    def _feed(name, addresses, period):
+        return ShardFeed(
+            name=name,
+            reports={"bot": Report("bot", np.asarray(addresses), period=period)},
+        )
+
+    def test_period_independent_of_feed_order(self):
+        day = datetime.date
+        a = self._feed("net-a", [1, 2], (day(2006, 10, 1), day(2006, 10, 14)))
+        b = self._feed("net-b", [2, 3], (day(2006, 10, 3), day(2006, 10, 16)))
+        forward = Clearinghouse([a, b]).pooled_report("bot")
+        backward = Clearinghouse([b, a]).pooled_report("bot")
+        assert forward == backward
+        assert forward.period == (day(2006, 10, 1), day(2006, 10, 16))
+        assert forward.addresses.tolist() == [1, 2, 3]
+
+    def test_period_from_carriers_that_have_one(self):
+        window = (datetime.date(2006, 10, 1), datetime.date(2006, 10, 14))
+        dated = self._feed("net-a", [1], window)
+        undated = self._feed("net-b", [2], None)
+        assert Clearinghouse([undated, dated]).pooled_report("bot").period == window
+        assert Clearinghouse([undated]).pooled_report("bot").period is None
 
 
 # -- pool mode -------------------------------------------------------------

@@ -228,14 +228,6 @@ class TestLRUCache:
         with pytest.raises(ValueError, match=">= 1"):
             api._LRUCache(capacity=0, metric="test.cache.evictions")
 
-    def test_capacity_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCENARIO_CACHE_SIZE", "3")
-        assert api._cache_capacity("REPRO_SCENARIO_CACHE_SIZE", 8) == 3
-        monkeypatch.setenv("REPRO_SCENARIO_CACHE_SIZE", "junk")
-        assert api._cache_capacity("REPRO_SCENARIO_CACHE_SIZE", 8) == 8
-        monkeypatch.delenv("REPRO_SCENARIO_CACHE_SIZE")
-        assert api._cache_capacity("REPRO_SCENARIO_CACHE_SIZE", 8) == 8
-
     def test_clear_scenario_cache_clears_both_tiers(self, small_scenario):
         api.stream_service(small_scenario)
         assert len(api._SERVICES) > 0
