@@ -2,9 +2,9 @@
 """Record kernel throughput to ``BENCH_kernels.json`` (and guard it).
 
 Times the vectorized hot paths (traffic-stage cold build, TRW walk and
-detect, scan detect and its row-table reference) directly — no artifact
-engine, so every build is genuinely cold — and writes flows/sec and
-events/sec to a JSON snapshot at the repo root.  At ``--scale full``
+detect, scan detect and its row-table reference, spam detect) directly
+— no artifact engine, so every build is genuinely cold — and writes
+flows/sec and events/sec to a JSON snapshot at the repo root.  At ``--scale full``
 the snapshot also embeds the PR-1 loop-based timings (measured on the
 same class of machine) and the resulting speedups, so the perf
 trajectory is auditable from the file alone.
@@ -271,6 +271,17 @@ def main(argv=None) -> int:
     sections["scan_detect"]["speedup_vs_reference"] = round(
         reference_seconds / sections["scan_detect"]["seconds"], 2
     )
+
+    spam_detector = SpamDetector()
+    seconds, detected = best_of(
+        lambda: spam_detector.detect(traffic.flows), args.repeats
+    )
+    sections["spam_detect"] = {
+        "seconds": round(seconds, 4),
+        "flows": flows,
+        "flows_per_sec": round(flows / seconds),
+        "sources_flagged": int(detected.size),
+    }
 
     with tempfile.TemporaryDirectory() as tmp_dir:
         sections["chunked_fold"] = bench_chunked_fold(traffic, tmp_dir)

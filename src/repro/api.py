@@ -25,9 +25,10 @@ object satisfying :class:`repro.predict.Predictor`), a training feed
 Monte-Carlo null.
 
 Determinism: when no ``rng``/``seed`` is given, each test seeds its
-generator from ``config.seed ^ 0xC1D`` — the same convention the CLI
-uses — so facade results are reproducible from the scenario seed alone
-and identical to an `uncleanliness` run with the same flags.
+generator with :func:`repro.core.sampling.monte_carlo_rng` — the same
+helper the CLI and the experiment modules use — so facade results are
+reproducible from the scenario seed alone and identical to an
+`uncleanliness` run with the same flags.
 
 Scenarios are cached per config fingerprint (two configs sharing a seed
 but differing in any field get independent entries), so repeated facade
@@ -56,6 +57,7 @@ from repro.core.density import density_test as _density_test
 from repro.core.prediction import PredictionResult
 from repro.core.prediction import prediction_test as _prediction_test
 from repro.core.report import Report
+from repro.core.sampling import monte_carlo_rng
 from repro.core.scenario import PaperScenario, ScenarioConfig
 from repro.engine.fingerprint import fingerprint as _fingerprint
 from repro.engine.store import MISS, default_store
@@ -331,8 +333,7 @@ def _default_rng(
         return rng
     if seed is not None:
         return np.random.default_rng(seed)
-    # The CLI's convention: derived from, but distinct from, the data seed.
-    return np.random.default_rng(scenario.config.seed ^ 0xC1D)
+    return monte_carlo_rng(scenario.config.seed)
 
 
 # -- the predictor-generic evaluation entry ---------------------------------
@@ -748,9 +749,9 @@ def _fleet_rng(
         return rng
     if seed is not None:
         return np.random.default_rng(seed)
-    # Same convention as the single-network verbs: derived from the
-    # (first shard's) data seed, so fleet results reproduce from config.
-    return np.random.default_rng(result.config.shards[0].config.seed ^ 0xC1D)
+    # Derived from the first shard's data seed, so fleet results
+    # reproduce from config.
+    return monte_carlo_rng(result.config.shards[0].config.seed)
 
 
 def fleet_density_test(

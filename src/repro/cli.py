@@ -43,6 +43,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.core.sampling import monte_carlo_rng
 from repro.core.scenario import ScenarioConfig
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
@@ -698,7 +699,7 @@ def _run_one(name: str, scenario, args: argparse.Namespace) -> str:
     module, takes_subsets = _SCENARIO_EXPERIMENTS[name]
     with obs_trace.span(f"experiment.{name}", subsets=args.subsets):
         if takes_subsets:
-            rng = np.random.default_rng(scenario.config.seed ^ 0xC1D)
+            rng = monte_carlo_rng(scenario.config.seed)
             result = module.run(
                 scenario, rng, subsets=args.subsets, workers=args.workers
             )

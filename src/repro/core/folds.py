@@ -14,13 +14,14 @@ validation unchanged — so the window logic lives here, once:
 * the class mapping and scoring step from Table 1 report tags to the
   §7 multidimensional uncleanliness scores and the derived blocklist.
 
-Decomposability notes, enforced by ``tests/test_stream_replay.py``:
-the scan detector buckets by hour and hours never span days, so
-unioning per-day detections equals whole-window detection; the spam
-detector's statistics are exact mergeable aggregates
-(:class:`repro.detect.spam.SpamAggregates`); report sets are unions of
-per-day address deltas; and the noisy-OR scores are recomputed from
-exact integer per-block counts in a fixed class order.
+Decomposability notes, enforced by ``tests/test_stream_replay.py`` and
+``tests/test_detect_modes.py``: the scan detector buckets by hour and
+hours never span days, so unioning per-day detections equals
+whole-window detection; the spam detector's statistics are one exact
+mergeable aggregate (:class:`repro.detect.spam.SpamAggregates`) whose
+``merge_all`` is exact for any split of the log, days included; report
+sets are unions of per-day address deltas; and the noisy-OR scores are
+recomputed from exact integer per-block counts in a fixed class order.
 """
 
 from __future__ import annotations

@@ -73,6 +73,7 @@ __all__ = [
     "naive_sample",
     "empirical_subsets",
     "monte_carlo",
+    "monte_carlo_rng",
     "MonteCarloFailure",
     "resolve_workers",
     "trial_seed",
@@ -249,6 +250,16 @@ class MonteCarloFailure(RuntimeError):
     workers, then serial execution of the missing ranges) has been
     exhausted; the underlying error is chained as ``__cause__``.
     """
+
+
+def monte_carlo_rng(data_seed: int) -> np.random.Generator:
+    """The Monte-Carlo generator a run uses when the caller passes none.
+
+    Derived from, but distinct from, the scenario's data seed, so the
+    CLI, the :mod:`repro.api` facade and the experiment modules print
+    the same numbers for the same scenario.
+    """
+    return np.random.default_rng(data_seed ^ 0xC1D)
 
 
 def naive_sample(size: int, rng: np.random.Generator, tag: str = "naive") -> Report:

@@ -12,24 +12,22 @@ The hourly calibration is load-bearing for the paper: "slow" scanners that
 touch fewer than ~30 addresses per day never accumulate enough fan-out in
 an hour and land in the unknown class of §6 rather than the scan report.
 
-Evaluation is a columnar kernel: the ``(source, hour)`` group key packs
-into one ``uint64`` (:func:`repro.flows.kernels.pack64`), a single
-``np.lexsort`` over ``(packed pair, destination)`` orders the whole
-window, and fan-out / failed-flow counts fall out of run boundaries and
-``np.add.reduceat`` — no row-table ``np.unique(axis=0)`` passes.  Failed
-flows are counted in pure integers (a grouped sum of the no-ACK mask), so
-there is no float ``weights=`` path and the two per-pair tables are one
-table by construction.  :meth:`ScanDetector.detect_reference` retains the
-original row-table formulation as the semantic reference the property
-tests pin the kernel to.
-
-:class:`ScanAggregates` is the mergeable partial-aggregate form of the
-same computation: per-``(source, hour)`` flow/failure totals plus the
-distinct ``(source, hour, destination)`` triple set.  Folding aggregates
-chunk by chunk over a :class:`~repro.flows.chunked.ChunkedFlowLog`
-(:meth:`ScanDetector.detect_chunked`) reproduces the in-memory verdict
-bit for bit for *any* chunking, because every column is an exact integer
-and triple dedup commutes with set union.
+Evaluation is one mergeable aggregate, :class:`ScanAggregates`, with
+three operations: :meth:`~ScanAggregates.from_flows` packs the
+``(source, hour)`` group key into one ``uint64``
+(:func:`repro.flows.kernels.pack64`), orders the window with a single
+``np.lexsort`` over ``(packed pair, destination)`` and reads flow and
+failed-flow totals and the distinct ``(source, hour, destination)``
+triples off run boundaries — no row-table ``np.unique(axis=0)`` passes;
+:meth:`~ScanAggregates.merge_all` folds aggregates of any split of a
+log; and :meth:`~ScanAggregates.flagged` applies the thresholds.  Every
+column is an exact integer and triple dedup commutes with set union, so
+:meth:`ScanDetector.detect` (one aggregate), the chunked fold
+:meth:`ScanDetector.detect_chunked` and any other split of the window
+reach the same verdict by construction.
+:meth:`ScanDetector.detect_reference` retains the original row-table
+formulation as the semantic reference the property tests pin the
+aggregate to.
 """
 
 from __future__ import annotations
@@ -40,7 +38,14 @@ from typing import TYPE_CHECKING, Iterable, Tuple
 import numpy as np
 
 from repro import obs
-from repro.flows.kernels import grouped_sum, pack64, segment_bounds
+from repro.flows.kernels import (
+    distinct_pairs,
+    grouped_sum,
+    pack64,
+    pair_run_starts,
+    segment_bounds,
+    sum_by_key,
+)
 from repro.flows.log import FlowLog
 from repro.flows.record import Protocol, TCPFlags
 
@@ -50,6 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ScanDetectorConfig", "ScanDetector", "ScanAggregates"]
 
 _HOUR_SECONDS = 3600.0
+_HI = np.uint64(32)
+_LO = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -69,177 +76,129 @@ class ScanDetectorConfig:
             raise ValueError("min_failed_fraction must be in [0, 1]")
 
 
-def _tcp_columns(
+def _sorted_tcp(
     flows: FlowLog,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four columns the detector reads, masked to TCP only.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The TCP flows as ``(pair key, destination, no-ACK)`` columns sorted
+    by ``(pair key, destination)``, plus the hour base of the keys.
 
-    Column-level masking instead of :meth:`FlowLog.select` avoids copying
-    the six columns the detector never touches.
+    Pair keys pack ``(source, hour - base)``; hours are rebased to the
+    window minimum so any real capture packs (the rebased span would
+    only overflow after ~490,000 years of traffic, which :func:`pack64`
+    turns into a loud error rather than key aliasing).  The masked
+    columns and the sort permutation die with this frame, before the
+    caller builds its tables.
     """
     tcp = flows.protocol == Protocol.TCP
-    src = flows.src_addr[tcp]
-    dst = flows.dst_addr[tcp]
     hours = (flows.start_time[tcp] // _HOUR_SECONDS).astype(np.int64)
-    no_ack = (flows.tcp_flags[tcp] & TCPFlags.ACK) == 0
-    return src, dst, hours, no_ack
-
-
-def _pair_keys(src: np.ndarray, hours: np.ndarray) -> Tuple[np.ndarray, int]:
-    """``(source, hour)`` packed into sortable ``uint64`` keys.
-
-    Hours are rebased to the window minimum so any real capture packs
-    (the rebased span would only overflow after ~490,000 years of
-    traffic, which :func:`pack64` turns into a loud error rather than
-    key aliasing).  Returns the keys and the hour base for unpacking.
-    """
     base = int(hours.min()) if hours.size else 0
-    return pack64(src, hours - base), base
+    pair_key = pack64(flows.src_addr[tcp], hours - base)
+    del hours
+    dst = flows.dst_addr[tcp]
+    order = np.lexsort((dst, pair_key))
+    no_ack = (flows.tcp_flags[tcp][order] & TCPFlags.ACK) == 0
+    return pair_key[order], dst[order], no_ack, base
+
+
+def _rebase(keys: np.ndarray, shift: int) -> np.ndarray:
+    """Packed ``(source, hour - b)`` keys re-expressed against base
+    ``b - shift``."""
+    if shift == 0:
+        return keys
+    return pack64(keys >> _HI, (keys & _LO) + np.uint64(shift))
 
 
 @dataclass(frozen=True)
 class ScanAggregates:
     """Mergeable per-``(source, hour)`` sufficient statistics.
 
-    Everything the detector thresholds on reduces to exact integer
-    columns over ``(source, hour)`` groups plus the distinct
-    ``(source, hour, destination)`` triple set; both merge exactly under
-    any partition of the flow window, so flags computed incrementally
-    over chunks and flags computed whole-window agree bit for bit.
+    Groups are packed ``(source, hour - base)`` keys.  Everything the
+    detector thresholds on reduces to exact integer totals per group
+    plus the distinct ``(source, hour, destination)`` triple set; both
+    merge exactly under any partition of the flow window, so flags from
+    merged aggregates and flags from one whole-window aggregate agree
+    bit for bit.
 
-    All tables are sorted lexicographically by their key columns.
+    ``pair_keys`` is sorted and unique; the triples are sorted by
+    ``(triple_keys, triple_dsts)``, and every group owns at least one
+    triple, so the runs of ``triple_keys`` line up with ``pair_keys``.
     """
 
-    sources: np.ndarray  # uint32: per (source, hour) group
-    hours: np.ndarray  # int64
+    base: int  # hour subtracted before packing
+    pair_keys: np.ndarray  # uint64: (source, hour - base) groups
     flow_totals: np.ndarray  # int64: TCP flows in the group
     failed_totals: np.ndarray  # int64: no-ACK flows in the group
-    triple_sources: np.ndarray  # uint32: distinct (source, hour, dst)
-    triple_hours: np.ndarray  # int64
-    triple_dsts: np.ndarray  # uint32
+    triple_keys: np.ndarray  # uint64: group of each distinct triple
+    triple_dsts: np.ndarray  # uint32: destination of each triple
 
     @classmethod
     def empty(cls) -> "ScanAggregates":
-        u32 = np.asarray([], dtype=np.uint32)
+        u64 = np.asarray([], dtype=np.uint64)
         i64 = np.asarray([], dtype=np.int64)
         return cls(
-            sources=u32, hours=i64, flow_totals=i64, failed_totals=i64,
-            triple_sources=u32, triple_hours=i64, triple_dsts=u32,
+            base=0, pair_keys=u64, flow_totals=i64, failed_totals=i64,
+            triple_keys=u64, triple_dsts=np.asarray([], dtype=np.uint32),
         )
 
     @classmethod
     def from_flows(cls, flows: FlowLog) -> "ScanAggregates":
-        """Aggregate any span of flows (one lexsort, grouped counts)."""
-        src, dst, hours, no_ack = _tcp_columns(flows)
-        if src.size == 0:
-            return cls.empty()
-        pair_key, base = _pair_keys(src, hours)
-
-        order = np.lexsort((dst, pair_key))
-        pk = pair_key[order]
-        dk = dst[order]
-        starts, _ = segment_bounds(pk)
-
-        failed = grouped_sum(no_ack[order], starts)
-        totals = np.diff(np.append(starts, pk.size))
-
-        # A triple's first occurrence in (pair, dst) order marks one
-        # distinct destination of its pair.
-        first_triple = np.empty(pk.size, dtype=bool)
-        first_triple[0] = True
-        first_triple[1:] = (pk[1:] != pk[:-1]) | (dk[1:] != dk[:-1])
-        triple_at = np.flatnonzero(first_triple)
-
-        pair_pk = pk[starts]
-        triple_pk = pk[triple_at]
+        """Aggregate any span of flows (one lexsort, run-boundary counts)."""
+        pk, dk, no_ack, base = _sorted_tcp(flows)
+        starts, flow_totals = segment_bounds(pk)
+        # A triple's first row in (pair, dst) order marks one distinct
+        # destination of its pair.
+        first_triple = pair_run_starts(pk, dk)
         return cls(
-            sources=(pair_pk >> np.uint64(32)).astype(np.uint32),
-            hours=(pair_pk & np.uint64(0xFFFFFFFF)).astype(np.int64) + base,
-            flow_totals=totals.astype(np.int64),
-            failed_totals=failed.astype(np.int64),
-            triple_sources=(triple_pk >> np.uint64(32)).astype(np.uint32),
-            triple_hours=(triple_pk & np.uint64(0xFFFFFFFF)).astype(np.int64)
-            + base,
-            triple_dsts=dk[triple_at].astype(np.uint32),
+            base=base,
+            pair_keys=pk[starts],
+            flow_totals=flow_totals,
+            failed_totals=grouped_sum(no_ack, starts),
+            triple_keys=pk[first_triple],
+            triple_dsts=dk[first_triple],
         )
-
-    @property
-    def group_count(self) -> int:
-        return int(self.sources.size)
-
-    def merge(self, other: "ScanAggregates") -> "ScanAggregates":
-        """Fold in aggregates of any other span of the same window.
-
-        Integer totals add and triple sets union, so merging is exact
-        whatever the split — chunks may straddle hours, days or even
-        interleave sources.
-        """
-        return self.merge_all([self, other])
 
     @classmethod
     def merge_all(cls, parts: "Iterable[ScanAggregates]") -> "ScanAggregates":
-        """Merge any number of partial aggregates in one reduction.
+        """Merge aggregates of any split of one window in one reduction.
 
-        One concatenation and one sort over the union, instead of a
-        chain of pairwise merges re-sorting the running state per chunk.
-        Exact for any order and grouping of ``parts`` (integer sums and
-        set union are associative and commutative), so the result is
-        bit-identical to chained :meth:`merge` calls.
+        Keys are rebased to the smallest part base, then integer totals
+        add per group and triple sets union.  Both are associative and
+        commutative, so the result is the same for any split, order and
+        grouping of ``parts`` — chunks may straddle hours, days or even
+        interleave sources.
         """
-        parts = [p for p in parts if p.sources.size]
+        parts = [p for p in parts if p.pair_keys.size]
         if not parts:
             return cls.empty()
         if len(parts) == 1:
             return parts[0]
-
-        base = min(int(p.hours.min()) for p in parts)
-        keys = np.concatenate([pack64(p.sources, p.hours - base) for p in parts])
-        totals = np.concatenate([p.flow_totals for p in parts])
-        failed = np.concatenate([p.failed_totals for p in parts])
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts, _ = segment_bounds(keys)
-        pair_pk = keys[starts]
-
-        tri_keys = np.concatenate(
-            [pack64(p.triple_sources, p.triple_hours - base) for p in parts]
+        base = min(p.base for p in parts)
+        pair_keys, flow_totals, failed_totals = sum_by_key(
+            np.concatenate([_rebase(p.pair_keys, p.base - base) for p in parts]),
+            np.concatenate([p.flow_totals for p in parts]),
+            np.concatenate([p.failed_totals for p in parts]),
         )
-        tri_dsts = np.concatenate([p.triple_dsts for p in parts])
-        tri_order = np.lexsort((tri_dsts, tri_keys))
-        tk = tri_keys[tri_order]
-        td = tri_dsts[tri_order]
-        keep = np.empty(tk.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = (tk[1:] != tk[:-1]) | (td[1:] != td[:-1])
-
+        triple_keys, triple_dsts = distinct_pairs(
+            np.concatenate([_rebase(p.triple_keys, p.base - base) for p in parts]),
+            np.concatenate([p.triple_dsts for p in parts]),
+        )
         return cls(
-            sources=(pair_pk >> np.uint64(32)).astype(np.uint32),
-            hours=(pair_pk & np.uint64(0xFFFFFFFF)).astype(np.int64) + base,
-            flow_totals=grouped_sum(totals[order], starts),
-            failed_totals=grouped_sum(failed[order], starts),
-            triple_sources=(tk[keep] >> np.uint64(32)).astype(np.uint32),
-            triple_hours=(tk[keep] & np.uint64(0xFFFFFFFF)).astype(np.int64)
-            + base,
-            triple_dsts=td[keep].astype(np.uint32),
+            base=base,
+            pair_keys=pair_keys,
+            flow_totals=flow_totals,
+            failed_totals=failed_totals,
+            triple_keys=triple_keys,
+            triple_dsts=triple_dsts,
         )
 
     def flagged(self, config: ScanDetectorConfig) -> np.ndarray:
         """Sorted unique sources the detector flags at these aggregates."""
-        if self.sources.size == 0:
-            return np.asarray([], dtype=np.uint32)
-        base = int(self.hours.min())
-        pair_key = pack64(self.sources, self.hours - base)
-        triple_key = pack64(self.triple_sources, self.triple_hours - base)
-        # Every triple's pair exists in the pair table, so searchsorted
-        # positions are exact group ids.
-        target_counts = np.bincount(
-            np.searchsorted(pair_key, triple_key), minlength=pair_key.size
-        )
+        _, target_counts = segment_bounds(self.triple_keys)
         failed_fraction = self.failed_totals / np.maximum(self.flow_totals, 1)
         mask = (target_counts >= config.min_targets) & (
             failed_fraction >= config.min_failed_fraction
         )
-        return np.unique(self.sources[mask]).astype(np.uint32)
+        return np.unique((self.pair_keys[mask] >> _HI).astype(np.uint32))
 
 
 class ScanDetector:
@@ -252,34 +211,7 @@ class ScanDetector:
     def detect(self, flows: FlowLog) -> np.ndarray:
         """Sorted unique source addresses flagged as scanners."""
         with obs.instrument("detect.scan", events=len(flows)):
-            return self._detect(flows)
-
-    def _detect(self, flows: FlowLog) -> np.ndarray:
-        """The packed-key kernel: one lexsort, grouped integer counts."""
-        src, dst, hours, no_ack = _tcp_columns(flows)
-        if src.size == 0:
-            return np.asarray([], dtype=np.uint32)
-        pair_key, _ = _pair_keys(src, hours)
-
-        order = np.lexsort((dst, pair_key))
-        pk = pair_key[order]
-        dk = dst[order]
-        starts, _ = segment_bounds(pk)
-
-        flow_totals = np.diff(np.append(starts, pk.size))
-        failed_totals = grouped_sum(no_ack[order], starts)
-
-        first_triple = np.empty(pk.size, dtype=bool)
-        first_triple[0] = True
-        first_triple[1:] = (pk[1:] != pk[:-1]) | (dk[1:] != dk[:-1])
-        target_counts = grouped_sum(first_triple, starts)
-
-        failed_fraction = failed_totals / np.maximum(flow_totals, 1)
-        flagged = (target_counts >= self.config.min_targets) & (
-            failed_fraction >= self.config.min_failed_fraction
-        )
-        flagged_sources = (pk[starts[flagged]] >> np.uint64(32)).astype(np.uint32)
-        return np.unique(flagged_sources)
+            return ScanAggregates.from_flows(flows).flagged(self.config)
 
     def detect_chunked(self, chunks: "Iterable[FlowLog]") -> np.ndarray:
         """Fold the detector over flow-log chunks without materialising.
@@ -296,7 +228,7 @@ class ScanDetector:
         with obs.instrument("detect.scan_chunked"):
             aggregates = fold_partials(
                 (ScanAggregates.from_flows(chunk) for chunk in chunks),
-                rows=lambda a: a.sources.size + a.triple_sources.size,
+                rows=lambda a: a.pair_keys.size + a.triple_keys.size,
                 merge_all=ScanAggregates.merge_all,
             )
             return aggregates.flagged(self.config)
@@ -307,7 +239,7 @@ class ScanDetector:
         """The original ``np.unique(axis=0)`` row-table formulation.
 
         Semantically identical to :meth:`detect` (the property tests pin
-        the kernel to it) but interpreter- and sort-bound: three
+        the aggregate to it) but interpreter- and sort-bound: three
         row-table unique passes over stacked int64 triples.  Kept as the
         readable specification; not for large logs.
 

@@ -171,10 +171,6 @@ class FirstContactAggregates:
             acked=acked[head],
         )
 
-    def merge(self, other: "FirstContactAggregates") -> "FirstContactAggregates":
-        """Combine two partials: per-pair min of (time, position)."""
-        return self.merge_all([self, other])
-
     @classmethod
     def merge_all(
         cls, parts: "Iterable[FirstContactAggregates]"
@@ -182,9 +178,8 @@ class FirstContactAggregates:
         """Merge any number of partials in one sort over their union.
 
         Per-pair min of ``(time, position)`` is associative and
-        commutative, so one reduction is bit-identical to any chain of
-        pairwise :meth:`merge` calls while sorting the running state
-        only once.
+        commutative, so the result is the same for any split, order and
+        grouping of ``parts``.
         """
         parts = [p for p in parts if p.pair_keys.size]
         if not parts:

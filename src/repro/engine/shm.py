@@ -11,10 +11,7 @@ process-pool pipe.  This module ships those hot columns once instead:
   dtype/shape/offset table) that costs a few hundred bytes on the wire;
 * :func:`attach` maps the segment back into a worker and returns
   read-only zero-copy views, cached per process so repeated chunks of
-  one evaluation attach exactly once;
-* :func:`share_ensemble` / :func:`attach_ensemble` are the same codec
-  specialised to :class:`~repro.core.trials.TrialEnsemble` — the trial
-  matrix travels as a handle, reconstructing without copying a row.
+  one evaluation attach exactly once.
 
 The creator owns the segment: :meth:`SharedPack.unlink` frees it after
 the evaluation completes (workers merely :meth:`close` their maps).
@@ -31,12 +28,9 @@ shared memory, so results never depend on the transport.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.trials import TrialEnsemble
 
 try:  # pragma: no cover - exercised indirectly on every platform
     from multiprocessing import shared_memory as _shared_memory
@@ -49,8 +43,6 @@ __all__ = [
     "SharedPack",
     "attach",
     "detach_all",
-    "share_ensemble",
-    "attach_ensemble",
 ]
 
 #: Byte alignment of each array inside the segment (cache-line friendly,
@@ -189,29 +181,3 @@ def detach_all() -> None:
         except (OSError, BufferError):  # pragma: no cover - best effort
             pass
     _ATTACHED.clear()
-
-
-# -- TrialEnsemble codec ---------------------------------------------------
-
-
-def share_ensemble(ensemble: "TrialEnsemble") -> Tuple[SharedPack, dict]:
-    """Pack an ensemble's matrix for shipping; returns ``(pack, meta)``.
-
-    ``meta`` carries the cheap scalar fields; pickle
-    ``(pack.handle, meta)`` to a worker and rebuild with
-    :func:`attach_ensemble`.
-    """
-    pack = SharedPack.create({"matrix": ensemble.matrix})
-    return pack, {"start": ensemble.start, "source_tag": ensemble.source_tag}
-
-
-def attach_ensemble(handle: SharedHandle, meta: dict) -> "TrialEnsemble":
-    """Rebuild a shared ensemble without copying the matrix."""
-    from repro.core.trials import TrialEnsemble
-
-    views = attach(handle)
-    return TrialEnsemble(
-        matrix=views["matrix"],
-        start=int(meta["start"]),
-        source_tag=str(meta["source_tag"]),
-    )

@@ -121,6 +121,3 @@ class StageEngine:
         )
         self.store.put(key, value, stage.codec)
         return value
-
-    def reset_counters(self) -> None:
-        self.build_counts.clear()

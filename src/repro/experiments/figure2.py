@@ -18,6 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.density import DensityResult
+from repro.core.sampling import monte_carlo_rng
 from repro.core.scenario import PaperScenario
 from repro.experiments.common import render_table
 
@@ -107,7 +108,7 @@ def run(
     # repro.core.density.density_test directly.
     from repro.api import evaluate
 
-    rng = rng if rng is not None else np.random.default_rng(scenario.config.seed)
+    rng = rng if rng is not None else monte_carlo_rng(scenario.config.seed)
     density = evaluate(
         scenario,
         metric="density",

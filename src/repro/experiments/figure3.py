@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.density import DensityResult
+from repro.core.sampling import monte_carlo_rng
 from repro.core.scenario import PaperScenario
 from repro.experiments.common import render_table
 
@@ -71,7 +72,7 @@ def run(
     """Regenerate the four panels of Figure 3."""
     from repro.api import evaluate
 
-    rng = rng if rng is not None else np.random.default_rng(scenario.config.seed)
+    rng = rng if rng is not None else monte_carlo_rng(scenario.config.seed)
     panels = {
         tag: evaluate(
             scenario,

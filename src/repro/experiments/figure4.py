@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.prediction import PredictionResult
+from repro.core.sampling import monte_carlo_rng
 from repro.core.scenario import PaperScenario
 from repro.experiments.common import render_table
 from repro.experiments.paper_values import FIGURE4_PREDICTIVE_RANGES
@@ -87,7 +88,7 @@ def run(
     # prediction_test calls.
     from repro.api import evaluate
 
-    rng = rng if rng is not None else np.random.default_rng(scenario.config.seed)
+    rng = rng if rng is not None else monte_carlo_rng(scenario.config.seed)
     panels = {
         tag: evaluate(
             scenario,

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.prediction import PredictionResult
+from repro.core.sampling import monte_carlo_rng
 from repro.core.scenario import PaperScenario
 from repro.experiments.common import render_table
 
@@ -42,7 +43,7 @@ def run(
     """Regenerate Figure 5."""
     from repro.api import evaluate
 
-    rng = rng if rng is not None else np.random.default_rng(scenario.config.seed)
+    rng = rng if rng is not None else monte_carlo_rng(scenario.config.seed)
     prediction = evaluate(
         scenario,
         metric="prediction",

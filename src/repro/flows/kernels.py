@@ -21,7 +21,10 @@ loop:
   packed-key grouping trio behind the columnar scan detector: two
   32-bit-ranged columns packed into one ``uint64`` sort key, run
   boundaries of the sorted keys, and exact per-run sums via
-  ``np.add.reduceat``.
+  ``np.add.reduceat``;
+* :func:`pair_run_starts` / :func:`distinct_pairs` / :func:`sum_by_key`
+  — the set-union and grouped-sum steps the mergeable detector
+  aggregates fold with.
 
 All kernels are deterministic given the RNG: each draws a fixed number
 of variates that depends only on the input shapes.
@@ -43,6 +46,9 @@ __all__ = [
     "pack64",
     "segment_bounds",
     "grouped_sum",
+    "pair_run_starts",
+    "distinct_pairs",
+    "sum_by_key",
 ]
 
 
@@ -171,6 +177,46 @@ def grouped_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     if starts.size == 0:
         return np.zeros(0, dtype=values.dtype)
     return np.add.reduceat(values, starts)
+
+
+def pair_run_starts(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Mask of the first row of every run of equal ``(keys, values)`` rows.
+
+    The two parallel columns must already be sorted lexicographically
+    (as by ``np.lexsort((values, keys))``); the masked rows are then the
+    distinct pairs, in sorted order.
+    """
+    first = np.empty(keys.size, dtype=bool)
+    if keys.size:
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        first[1:] |= values[1:] != values[:-1]
+    return first
+
+
+def distinct_pairs(
+    keys: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(keys, values)`` rows, sorted lexicographically."""
+    order = np.lexsort((values, keys))
+    keys = keys[order]
+    values = values[order]
+    first = pair_run_starts(keys, values)
+    return keys[first], values[first]
+
+
+def sum_by_key(keys: np.ndarray, *columns: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Sorted unique ``keys`` and each column summed per key.
+
+    Sums are exact for integer columns and for integer-valued ``float64``
+    columns whose totals stay below 2**53, so the result does not depend
+    on the order of the input rows.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts, _ = segment_bounds(keys)
+    sums = [grouped_sum(column[order], starts) for column in columns]
+    return (keys[starts], *sums)
 
 
 def grouped_cumsum(

@@ -48,7 +48,6 @@ __all__ = [
     "observe",
     "set_gauge",
     "warn_event",
-    "events_logger",
 ]
 
 #: Quarter-decade log-spaced bucket upper bounds: 1e-7 .. 1e4 seconds
@@ -292,10 +291,6 @@ def observe(name: str, value: float) -> None:
 
 def set_gauge(name: str, value: float) -> None:
     _REGISTRY.gauge(name).set(value)
-
-
-def events_logger() -> logging.Logger:
-    return _EVENTS_LOG
 
 
 def warn_event(

@@ -16,8 +16,12 @@ from ordering, exactly like the store's payload-before-sidecar commit).
 Checkpoints inherit every fault-tolerance property of
 :class:`repro.engine.store.ArtifactStore`: checksummed payloads,
 quarantine on corruption, degradation to memory-only — a checkpoint
-that cannot be read is a miss, and the service falls back to the
-newest older day or a cold start.
+that cannot be read is a miss, and the service cold-starts.  A
+checkpoint whose spam aggregate lacks the ``(source, day)`` table
+(``spam:day_sources``/``spam:day_values``; older checkpoints stored
+per-source ``spam:active_days`` instead) raises
+:class:`~repro.engine.store.VersionSkew`: a plain miss, never
+quarantined, after which the service replays the window.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from repro.core import folds
 from repro.detect.spam import SpamAggregates
 from repro.engine.fingerprint import fingerprint
-from repro.engine.store import Codec
+from repro.engine.store import Codec, VersionSkew
 from repro.stream.state import BlockCounter, IncrementalState, StreamConfig
 
 __all__ = ["StreamStateCodec", "stream_fingerprint", "day_key", "head_key"]
@@ -89,9 +93,10 @@ class StreamStateCodec(Codec):
         spam = value._spam
         arrays["spam:sources"] = spam.sources
         arrays["spam:messages"] = spam.messages
-        arrays["spam:active_days"] = spam.active_days
         arrays["spam:size_sums"] = spam.size_sums
         arrays["spam:size_sq_sums"] = spam.size_sq_sums
+        arrays["spam:day_sources"] = spam.day_sources
+        arrays["spam:day_values"] = spam.day_values
         for cls, counter in value._class_counters.items():
             arrays[f"class:{cls}:blocks"] = counter.blocks
             arrays[f"class:{cls}:counts"] = counter.counts
@@ -120,6 +125,10 @@ class StreamStateCodec(Codec):
             raise ValueError(
                 "stream checkpoint written under a different StreamConfig"
             )
+        if "spam:day_sources" not in arrays:
+            # Written before the spam aggregate carried its day table:
+            # a miss, so the service cold-starts and replays the window.
+            raise VersionSkew("stream checkpoint without the spam day table")
         state = IncrementalState(self.config)
         state.cursor = int(meta["cursor"])
         state.days_ingested = int(meta["days_ingested"])
@@ -139,9 +148,10 @@ class StreamStateCodec(Codec):
         state._spam = SpamAggregates(
             sources=arrays["spam:sources"].astype(np.uint32),
             messages=arrays["spam:messages"].astype(np.int64),
-            active_days=arrays["spam:active_days"].astype(np.int64),
             size_sums=arrays["spam:size_sums"].astype(np.float64),
             size_sq_sums=arrays["spam:size_sq_sums"].astype(np.float64),
+            day_sources=arrays["spam:day_sources"].astype(np.uint32),
+            day_values=arrays["spam:day_values"].astype(np.int64),
         )
         state._class_counters = {
             cls: BlockCounter(

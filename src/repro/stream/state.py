@@ -5,9 +5,11 @@ objects in day order and maintains, at all times, exactly what the batch
 pipeline would compute for the days ingested so far:
 
 * the rolling report sets (provided feeds merged as they arrive, scan
-  detections unioned per day, spam flags recomputed from exact mergeable
-  aggregates — spam is the one *non-monotone* report: a source can
-  unflag as its size variance grows);
+  detections unioned per day, spam flags recomputed from the running
+  :class:`~repro.detect.spam.SpamAggregates`, folded one day at a time
+  with the same ``merge_all`` the chunked detector uses — spam is the
+  one *non-monotone* report: a source can unflag as its size variance
+  grows);
 * per-class :class:`BlockCounter` tables — exact integer address counts
   per scored block, incremented by fresh addresses and decremented when
   a spam source unflags, pruning blocks whose counts reach zero so the
@@ -29,7 +31,7 @@ window reproduces the batch path bit for bit
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from repro.core.uncleanliness import BlockScores
 from repro.detect.scan import ScanDetector, ScanDetectorConfig
 from repro.detect.spam import SpamAggregates, SpamDetectorConfig
 from repro.core.cidr import PREFIX_RANGE
-from repro.ipspace.cidr import CIDRBlock, mask_array
+from repro.ipspace.cidr import mask_array
 from repro.ipspace.intervals import IntervalIndex
 from repro.ipspace.kernels import merge_unique, remove_sorted
 from repro.obs import metrics as obs_metrics
@@ -264,7 +266,9 @@ class IncrementalState:
 
         # 3. Spam: fold exact aggregates, recompute the flag set — the
         # non-monotone step; a source can leave the report.
-        self._spam = self._spam.merge(SpamAggregates.from_flows(batch.flows))
+        self._spam = SpamAggregates.merge_all(
+            [self._spam, SpamAggregates.from_flows(batch.flows)]
+        )
         spam_now = folds.observed_report(
             "spam", self._spam.flagged(self.config.spam_detector),
             self.config.window,
@@ -440,12 +444,6 @@ class IncrementalState:
         """Sorted masked networks at or above the score threshold."""
         return self._blocklist
 
-    def blocklist_blocks(self) -> List[CIDRBlock]:
-        return [
-            CIDRBlock(int(net), self.config.prefix_len)
-            for net in self._blocklist
-        ]
-
     @property
     def score_index(self) -> IntervalIndex:
         """Interval index over all scored blocks, valued by score."""
@@ -455,10 +453,6 @@ class IncrementalState:
     def block_index(self) -> IntervalIndex:
         """Interval index over the current blocklist."""
         return self._block_index
-
-    @property
-    def unclean_addresses(self) -> np.ndarray:
-        return self._unclean
 
     def block_counts(self) -> Dict[int, int]:
         """``{prefix_len: |C_n(R_unclean)|}`` — the §4 density counts."""

@@ -174,103 +174,10 @@ class TestConfig:
             ScanDetectorConfig(min_failed_fraction=1.5).validate()
 
 
-# -- packed-key kernel vs row-table reference ------------------------------
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.detect.scan import ScanAggregates
-
-
-@st.composite
-def flow_arrays(draw):
-    """Adversarial flow logs for the scan kernel.
-
-    Sources are drawn from a tiny pool (so single /32s repeat densely),
-    start times cluster tightly around hour boundaries (so equal-hour
-    and boundary-tie groupings both occur), and (src, hour, dst)
-    triples duplicate freely.
-    """
-    n = draw(st.integers(min_value=0, max_value=120))
-    sources = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=3), min_size=n, max_size=n
-        )
-    )
-    dsts = draw(
-        st.lists(
-            st.integers(min_value=1000, max_value=1007), min_size=n, max_size=n
-        )
-    )
-    # Offsets of a few seconds either side of an exact hour boundary.
-    hours = draw(
-        st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n)
-    )
-    jitter = draw(
-        st.lists(
-            st.integers(min_value=-2, max_value=2), min_size=n, max_size=n
-        )
-    )
-    acked = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    tcp = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    start = np.maximum(
-        np.asarray(hours, dtype=np.float64) * 3600.0
-        + np.asarray(jitter, dtype=np.float64),
-        0.0,
-    )
-    return FlowLog(
-        src_addr=np.asarray(sources, dtype=np.uint32),
-        dst_addr=np.asarray(dsts, dtype=np.uint32),
-        src_port=np.full(n, 40000, dtype=np.uint16),
-        dst_port=np.full(n, 445, dtype=np.uint16),
-        protocol=np.where(tcp, Protocol.TCP, Protocol.UDP).astype(np.uint8)
-        if n
-        else np.asarray([], dtype=np.uint8),
-        packets=np.full(n, 3, dtype=np.uint32),
-        octets=np.full(n, 156, dtype=np.uint64),
-        tcp_flags=np.where(
-            acked, int(TCPFlags.SYN | TCPFlags.ACK), int(TCPFlags.SYN)
-        ).astype(np.uint8)
-        if n
-        else np.asarray([], dtype=np.uint8),
-        start_time=start,
-        end_time=start + 1.0,
-    )
-
-
-# Low thresholds so the tiny generated logs actually exercise flagging.
-_PROP_CONFIG = ScanDetectorConfig(min_targets=3, min_failed_fraction=0.5)
+# -- aggregate vs row-table reference ------------------------------------
 
 
 class TestKernelMatchesReference:
-    @settings(max_examples=200, deadline=None)
-    @given(flow_arrays())
-    def test_detect_equals_reference(self, flows):
-        detector = ScanDetector(_PROP_CONFIG)
-        fast = detector.detect(flows)
-        reference = detector.detect_reference(flows)
-        assert fast.dtype == reference.dtype == np.uint32
-        assert np.array_equal(fast, reference)
-
-    @settings(max_examples=100, deadline=None)
-    @given(flow_arrays())
-    def test_aggregates_equal_reference(self, flows):
-        detector = ScanDetector(_PROP_CONFIG)
-        flagged = ScanAggregates.from_flows(flows).flagged(_PROP_CONFIG)
-        assert np.array_equal(flagged, detector.detect_reference(flows))
-
-    @settings(max_examples=100, deadline=None)
-    @given(flow_arrays(), st.integers(min_value=0, max_value=120))
-    def test_merged_aggregates_equal_whole(self, flows, cut):
-        cut = min(cut, len(flows))
-        mask = np.zeros(len(flows), dtype=bool)
-        mask[:cut] = True
-        left = ScanAggregates.from_flows(flows.select(mask))
-        right = ScanAggregates.from_flows(flows.select(~mask))
-        merged = left.merge(right).flagged(_PROP_CONFIG)
-        whole = ScanAggregates.from_flows(flows).flagged(_PROP_CONFIG)
-        assert np.array_equal(merged, whole)
-
     def test_empty_tcp_window(self):
         # UDP-only log: the TCP mask selects nothing.
         entries = [
@@ -281,30 +188,3 @@ class TestKernelMatchesReference:
         detector = ScanDetector()
         assert detector.detect(log).size == 0
         assert detector.detect_reference(log).size == 0
-
-    def test_detect_chunked_equals_detect(self):
-        entries = (
-            sweep(7, 40, hour=2)
-            + sweep(8, 5, hour=2)
-            + sweep(9, 35, hour=3)
-            + [(9, 2000 + t, ACKED, 3 * 3600.0 + t) for t in range(40)]
-        )
-        log = build_log(entries)
-        detector = ScanDetector()
-        whole = detector.detect(log)
-        for pieces in (1, 2, 7, len(log)):
-            bounds = np.linspace(0, len(log), pieces + 1).astype(int)
-            chunks = []
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                mask = np.zeros(len(log), dtype=bool)
-                mask[lo:hi] = True
-                chunks.append(log.select(mask))
-            assert np.array_equal(detector.detect_chunked(chunks), whole)
-
-    def test_merge_empty_identity(self):
-        log = build_log(sweep(7, 40, hour=2))
-        agg = ScanAggregates.from_flows(log)
-        out = agg.merge(ScanAggregates.empty()).flagged(ScanDetectorConfig())
-        assert np.array_equal(out, agg.flagged(ScanDetectorConfig()))
-        out = ScanAggregates.empty().merge(agg).flagged(ScanDetectorConfig())
-        assert np.array_equal(out, agg.flagged(ScanDetectorConfig()))

@@ -15,11 +15,7 @@ from repro.core.sampling import (
     _SharedStatistic,
     monte_carlo,
 )
-from repro.core.trials import (
-    BlockCountStatistic,
-    IntersectionStatistic,
-    TrialEnsemble,
-)
+from repro.core.trials import BlockCountStatistic, IntersectionStatistic
 from repro.engine import shm
 
 pytestmark = pytest.mark.skipif(
@@ -99,22 +95,6 @@ class TestSharedPack:
             assert offsets["b"] % 64 == 0
             views = shm.attach(pack.handle)
             assert np.array_equal(views["b"], np.ones(4))
-        finally:
-            shm.detach_all()
-            pack.unlink()
-
-
-class TestEnsembleCodec:
-    def test_roundtrip_zero_copy(self):
-        control = make_report()
-        ens = TrialEnsemble.draw(control, 200, 8, 999, (0,), start=3)
-        pack, meta = shm.share_ensemble(ens)
-        try:
-            back = shm.attach_ensemble(pack.handle, meta)
-            assert np.array_equal(back.matrix, ens.matrix)
-            assert back.start == ens.start
-            assert back.source_tag == ens.source_tag
-            assert back.matrix.base is not None  # a view, not a copy
         finally:
             shm.detach_all()
             pack.unlink()

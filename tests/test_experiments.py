@@ -107,6 +107,16 @@ class TestFigure5:
         assert result.phishing_self_predicts()
         assert "Figure 5" in figure5.format_result(result)
 
+    def test_default_rng_matches_cli(self, small_scenario):
+        # Without an rng the module seeds the Monte Carlo exactly as the
+        # CLI and the api facade do, so all three print the same numbers.
+        seed = small_scenario.config.seed
+        default = figure5.run(small_scenario, subsets=20)
+        cli = figure5.run(
+            small_scenario, np.random.default_rng(seed ^ 0xC1D), subsets=20
+        )
+        assert figure5.format_result(default) == figure5.format_result(cli)
+
 
 class TestTable1:
     def test_rows_and_ordering(self, small_scenario):

@@ -215,32 +215,6 @@ class TestDetectorEquivalence:
                 assert np.array_equal(det.detect_chunked(chunked), whole)
             chunked.drop()
 
-    def test_random_ragged_splits_match(self, flows, detectors):
-        rng = np.random.default_rng(23)
-        n = len(flows)
-        for _ in range(3):
-            cuts = np.sort(
-                rng.choice(np.arange(1, n), size=rng.integers(1, 25), replace=False)
-            )
-            parts, prev = [], 0
-            for cut in [*cuts.tolist(), n]:
-                mask = np.zeros(n, dtype=bool)
-                mask[prev:cut] = True
-                parts.append(flows.select(mask))
-                prev = cut
-            for det in detectors:
-                assert np.array_equal(
-                    det.detect_chunked(parts), det.detect(flows)
-                )
-
-    def test_empty_chunks_are_harmless(self, flows, detectors):
-        empty = FlowLog.empty()
-        half = np.zeros(len(flows), dtype=bool)
-        half[: len(flows) // 2] = True
-        parts = [empty, flows.select(half), empty, flows.select(~half), empty]
-        for det in detectors:
-            assert np.array_equal(det.detect_chunked(parts), det.detect(flows))
-
     def test_mmap_backend_matches(self, tmp_path, flows, detectors):
         chunked = ChunkedFlowLog.spill_to_dir(
             flows, tmp_path / "mm", max_flows=9000

@@ -22,7 +22,7 @@ from repro.core import cidr as rcidr
 from repro.core import folds
 from repro.core.report import DataClass, Report, ReportType
 from repro.detect.scan import ScanDetector, ScanDetectorConfig
-from repro.detect.spam import SpamAggregates, SpamDetector, SpamDetectorConfig
+from repro.detect.spam import SpamDetector, SpamDetectorConfig
 from repro.flows.generator import TrafficConfig, TrafficGenerator
 from repro.ipspace.cidr import mask_array
 from repro.sim.timeline import PAPER_WINDOWS, Window
@@ -171,39 +171,6 @@ class TestHypothesisReplay:
         _assert_state_matches_batch(restored, reports, stream_config)
         assert restored.cursor == state.cursor
         assert restored.days_ingested == state.days_ingested
-
-    @given(seed=st.integers(min_value=0, max_value=2**16))
-    @settings(max_examples=8, deadline=None)
-    def test_spam_aggregates_merge_is_exact(self, seed):
-        """Day-partial spam aggregates merge to whole-window bit-identity."""
-        window = Window(10, 13)
-        from repro.sim.internet import InternetConfig, SyntheticInternet
-        from repro.sim.botnet import BotnetConfig, BotnetSimulation
-
-        internet = SyntheticInternet(
-            InternetConfig(num_slash16=10, mean_hosts=10.0),
-            np.random.default_rng(seed),
-        )
-        botnet = BotnetSimulation(
-            internet, BotnetConfig(daily_compromises=8.0, horizon_days=14),
-            np.random.default_rng(seed + 1),
-        )
-        traffic = TrafficGenerator(
-            internet, botnet,
-            TrafficConfig(benign_clients_per_day=10, suspicious_hosts=30),
-        ).generate(window, np.random.default_rng(seed + 2))
-
-        whole = SpamAggregates.from_flows(traffic.flows)
-        folded = SpamAggregates.empty()
-        for _, flows in folds.day_slices(traffic.flows, window):
-            folded = folded.merge(SpamAggregates.from_flows(flows))
-        assert np.array_equal(folded.sources, whole.sources)
-        assert np.array_equal(folded.messages, whole.messages)
-        assert np.array_equal(folded.active_days, whole.active_days)
-        assert np.array_equal(folded.size_sums, whole.size_sums)
-        assert np.array_equal(folded.size_sq_sums, whole.size_sq_sums)
-        config = SpamDetectorConfig(min_messages=3, min_daily_rate=1.5)
-        assert np.array_equal(folded.flagged(config), whole.flagged(config))
 
 
 class TestSmallScenarioReplay:

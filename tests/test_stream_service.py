@@ -18,11 +18,26 @@ from repro.engine.store import ArrayCodec, ArtifactStore
 from repro.obs import metrics as obs_metrics
 from repro.sim.timeline import PAPER_WINDOWS
 from repro.stream import StreamConfig, UncleanlinessService, day_batches
-from repro.stream.checkpoint import day_key, head_key
+from repro.stream.checkpoint import StreamStateCodec, day_key, head_key
 
 
 def _counter(name: str) -> int:
     return obs_metrics.registry().counter(name).snapshot()["value"]
+
+
+class _ParentFormatCodec(StreamStateCodec):
+    """Writes checkpoints in the earlier format: per-source
+    ``spam:active_days`` instead of the ``(source, day)`` table."""
+
+    def to_payload(self, value):
+        arrays, meta = super().to_payload(value)
+        day_sources = arrays.pop("spam:day_sources")
+        del arrays["spam:day_values"]
+        sources = arrays["spam:sources"]
+        arrays["spam:active_days"] = np.bincount(
+            np.searchsorted(sources, day_sources), minlength=sources.size
+        )
+        return arrays, meta
 
 
 @pytest.fixture
@@ -121,6 +136,36 @@ class TestCheckpointResume:
         assert resumed.state.days_ingested == 0
         assert fresh.quarantined >= 1
         assert fresh.info()["quarantine_files"] >= 1
+
+    def test_parent_format_checkpoint_resumes_cold(
+        self, stream_config, disk_store, tmp_path, tiny_traffic
+    ):
+        """A checkpoint without the spam day table is version skew: a
+        plain miss, never quarantined; the service replays the window."""
+        service = UncleanlinessService(
+            stream_config, source="t", store=disk_store
+        )
+        self._fold(service, tiny_traffic, days=2)
+        disk_store.put(
+            day_key(service.fingerprint, service.cursor),
+            service.state.snapshot(),
+            _ParentFormatCodec(stream_config),
+        )
+
+        fresh = ArtifactStore(max_memory_items=8, disk_dir=tmp_path / "cache")
+        resumed = UncleanlinessService.resume(
+            stream_config, source="t", store=fresh
+        )
+        assert resumed.state.days_ingested == 0
+        assert fresh.version_skew == 1
+        assert fresh.quarantined == 0
+        assert fresh.info()["quarantine_files"] == 0
+
+        self._fold(resumed, tiny_traffic, days=None)
+        self._fold(service, tiny_traffic, days=None)
+        assert resumed.cursor == service.cursor == PAPER_WINDOWS.OCTOBER.end_day
+        assert np.array_equal(resumed.scores().scores, service.scores().scores)
+        assert np.array_equal(resumed.blocklist(), service.blocklist())
 
     def test_resume_honours_head_pointer(
         self, stream_config, disk_store, tiny_traffic
