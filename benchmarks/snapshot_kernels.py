@@ -9,20 +9,9 @@ the snapshot also embeds the PR-1 loop-based timings (measured on the
 same class of machine) and the resulting speedups, so the perf
 trajectory is auditable from the file alone.
 
-Two chunked sections cover the out-of-core layer:
-
-* ``chunked_fold`` — the window spilled to a memmap directory and every
-  detector folded over it (bit-identity with the in-memory verdict is
-  a hard assertion, not a guard);
-* ``chunked_memory_scaling`` — repeating synthetic traffic at 1x and 2x
-  window length folded through the TRW partial-aggregate path.  The log
-  doubles; the fold's peak traced allocation must not (it is bounded by
-  chunk size plus per-pair state, which repetition keeps constant).
-
 ``--guard`` exits non-zero when the ``scan_detect`` speedups fall below
 their floors (5x over the 5.06s loop baseline at full scale; 4x/1.2x
-over the row-table reference at full/small scale) or when the chunked
-fold's peak memory grows with window length.
+over the row-table reference at full/small scale).
 
 Usage::
 
@@ -38,9 +27,7 @@ import argparse
 import json
 import platform
 import sys
-import tempfile
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +36,7 @@ from repro.core.scenario import ScenarioConfig
 from repro.detect.scan import ScanDetector
 from repro.detect.spam import SpamDetector
 from repro.detect.trw import TRWDetector
-from repro.flows.chunked import ChunkedFlowLog
 from repro.flows.generator import TrafficGenerator
-from repro.flows.log import COLUMN_DTYPES, FlowLog
 from repro.sim.botnet import BotnetSimulation
 from repro.sim.internet import SyntheticInternet
 from repro.sim.timeline import PAPER_WINDOWS
@@ -65,125 +50,9 @@ LOOP_BASELINES_FULL = {
     "scan_detect": 5.06,
 }
 
-#: ``--guard`` floors and ceilings.
+#: ``--guard`` floors.
 SCAN_SPEEDUP_FLOOR_FULL = 5.0  # vs the 5.06s loop baseline
 SCAN_VS_REFERENCE_FLOORS = {"full": 4.0, "small": 1.2}
-#: Folding a 2x-length window of repeating traffic may grow the fold's
-#: peak allocation by at most this factor (the log itself grows ~2x).
-CHUNKED_PEAK_GROWTH_CEILING = 1.6
-
-
-def _log_nbytes(flows: FlowLog) -> int:
-    return sum(flows.column(name).nbytes for name in COLUMN_DTYPES)
-
-
-def _repeating_flows(days: int, per_day: int) -> FlowLog:
-    """``days`` identical days of traffic from a fixed source/dst pool.
-
-    Every day replays the same (source, destination) template, so the
-    TRW first-contact table — the fold's only cross-chunk state — stays
-    constant while the log grows linearly with ``days``.
-    """
-    rng = np.random.default_rng(0xC1D)
-    src = rng.choice(256, size=per_day).astype(np.uint32) + 1
-    dst = (src * 17 + rng.choice(24, size=per_day).astype(np.uint32)) % 997 + 1
-    offsets = np.sort(rng.uniform(0.0, 86_400.0, per_day))
-    day_template = dict(
-        src_addr=src,
-        dst_addr=dst,
-        src_port=np.full(per_day, 40_000, dtype=np.uint16),
-        dst_port=np.full(per_day, 80, dtype=np.uint16),
-        protocol=np.full(per_day, 6, dtype=np.uint8),
-        packets=np.ones(per_day, dtype=np.uint32),
-        octets=np.full(per_day, 512, dtype=np.uint64),
-        tcp_flags=np.where(rng.random(per_day) < 0.6, 2, 18).astype(np.uint8),
-    )
-    columns = {
-        name: np.concatenate([value] * days)
-        for name, value in day_template.items()
-    }
-    start = np.concatenate(
-        [offsets + day * 86_400.0 for day in range(days)]
-    )
-    return FlowLog(start_time=start, end_time=start + 1.0, **columns)
-
-
-def _traced_fold(detector, chunked):
-    """(seconds, peak_traced_bytes, flagged) of one chunked fold."""
-    tracemalloc.start()
-    started = time.perf_counter()
-    flagged = detector.detect_chunked(chunked)
-    seconds = time.perf_counter() - started
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return seconds, peak, flagged
-
-
-def bench_chunked_fold(traffic, tmp_dir: str) -> dict:
-    """Every detector folded over the spilled window, identity-checked."""
-    flows = traffic.flows
-    chunked = ChunkedFlowLog.spill_to_dir(
-        flows,
-        Path(tmp_dir) / "window",
-        max_flows=max(4096, len(flows) // 12),
-        day_bounded=False,
-    )
-    section = {
-        "chunks": chunked.chunk_count,
-        "log_mb": round(_log_nbytes(flows) / 1e6, 1),
-    }
-    for name, detector in (
-        ("scan", ScanDetector()),
-        ("trw", TRWDetector()),
-        ("spam", SpamDetector()),
-    ):
-        whole = detector.detect(flows)
-        seconds, peak, flagged = _traced_fold(detector, chunked)
-        if not np.array_equal(flagged, whole):
-            raise AssertionError(f"{name} chunked fold diverges from in-memory")
-        section[name] = {
-            "seconds": round(seconds, 4),
-            "peak_traced_mb": round(peak / 1e6, 1),
-            "sources_flagged": int(whole.size),
-        }
-    return section
-
-
-def bench_chunked_memory_scaling(scale: str, tmp_dir: str) -> dict:
-    """Fold peak vs window length over repeating traffic (1x vs 2x)."""
-    days = 6 if scale == "small" else 14
-    per_day = 20_000 if scale == "small" else 100_000
-    detector = TRWDetector()
-    measurements = {}
-    for label, length in (("window", days), ("window_x2", 2 * days)):
-        flows = _repeating_flows(length, per_day)
-        chunked = ChunkedFlowLog.spill_to_dir(
-            flows,
-            Path(tmp_dir) / f"scaling-{label}",
-            max_flows=max(4096, per_day // 2),
-        )
-        seconds, peak, flagged = _traced_fold(detector, chunked)
-        if not np.array_equal(flagged, detector.detect(flows)):
-            raise AssertionError(f"{label} chunked fold diverges from in-memory")
-        measurements[label] = {
-            "days": length,
-            "flows": len(flows),
-            "chunks": chunked.chunk_count,
-            "log_mb": round(_log_nbytes(flows) / 1e6, 1),
-            "seconds": round(seconds, 4),
-            "peak_traced_mb": round(peak / 1e6, 1),
-        }
-    peak_growth = (
-        measurements["window_x2"]["peak_traced_mb"]
-        / max(measurements["window"]["peak_traced_mb"], 0.1)
-    )
-    log_growth = (
-        measurements["window_x2"]["log_mb"]
-        / max(measurements["window"]["log_mb"], 0.1)
-    )
-    measurements["peak_growth"] = round(peak_growth, 2)
-    measurements["log_growth"] = round(log_growth, 2)
-    return measurements
 
 
 def best_of(fn, repeats):
@@ -283,12 +152,6 @@ def main(argv=None) -> int:
         "sources_flagged": int(detected.size),
     }
 
-    with tempfile.TemporaryDirectory() as tmp_dir:
-        sections["chunked_fold"] = bench_chunked_fold(traffic, tmp_dir)
-        sections["chunked_memory_scaling"] = bench_chunked_memory_scaling(
-            args.scale, tmp_dir
-        )
-
     if args.scale == "full":
         for name, baseline in LOOP_BASELINES_FULL.items():
             sections[name]["loop_baseline_seconds"] = baseline
@@ -309,19 +172,9 @@ def main(argv=None) -> int:
     Path(args.output).write_text(json.dumps(snapshot, indent=2) + "\n")
     print(f"wrote {args.output}")
     for name, section in sections.items():
-        if "seconds" not in section:
-            continue
         speedup = section.get("speedup_vs_loops")
         suffix = f"  ({speedup}x vs loops)" if speedup else ""
         print(f"  {name:20s} {section['seconds']:8.3f}s{suffix}")
-    scaling = sections["chunked_memory_scaling"]
-    print(
-        f"  chunked fold peak    "
-        f"{scaling['window']['peak_traced_mb']:.1f} MB -> "
-        f"{scaling['window_x2']['peak_traced_mb']:.1f} MB "
-        f"({scaling['peak_growth']}x) while the log grows "
-        f"{scaling['log_growth']}x"
-    )
 
     if not args.guard:
         return 0
@@ -338,12 +191,6 @@ def main(argv=None) -> int:
         failed.append(
             f"scan_detect: {scan['speedup_vs_reference']}x over "
             f"detect_reference < required {reference_floor}x"
-        )
-    if scaling["peak_growth"] > CHUNKED_PEAK_GROWTH_CEILING:
-        failed.append(
-            f"chunked fold peak grew {scaling['peak_growth']}x over a "
-            f"{scaling['log_growth']}x longer window "
-            f"(ceiling {CHUNKED_PEAK_GROWTH_CEILING}x)"
         )
     for message in failed:
         print(f"GUARD FAIL: {message}", file=sys.stderr)

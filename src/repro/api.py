@@ -322,18 +322,21 @@ def _as_report(scenario: PaperScenario, report: Union[str, Report]) -> Report:
     return scenario.report(report)
 
 
-def _default_rng(
-    scenario: PaperScenario,
+def _mc_rng(
+    data_seed: int,
     rng: Optional[np.random.Generator],
     seed: Optional[int],
 ) -> np.random.Generator:
+    """The Monte-Carlo generator: ``rng``, else one seeded with ``seed``,
+    else :func:`monte_carlo_rng` of the world's ``data_seed`` (a fleet
+    passes its first shard's, so fleet results reproduce from config)."""
     if rng is not None:
         if seed is not None:
             raise ValueError("pass either rng or seed, not both")
         return rng
     if seed is not None:
         return np.random.default_rng(seed)
-    return monte_carlo_rng(scenario.config.seed)
+    return monte_carlo_rng(data_seed)
 
 
 # -- the predictor-generic evaluation entry ---------------------------------
@@ -441,7 +444,6 @@ def evaluate(
     subsets: int = 1000,
     include_naive: bool = False,
     naive_subsets: int = 20,
-    workers: Optional[int] = None,
     pack: Optional[str] = None,
 ):
     """The single evaluation entry: any predictor, any paper metric.
@@ -497,12 +499,11 @@ def evaluate(
             return _density_test(
                 unclean,
                 _as_report(sc, control),
-                _default_rng(sc, rng, seed),
+                _mc_rng(sc.config.seed, rng, seed),
                 prefixes=tuple(prefixes or PREFIX_RANGE),
                 subsets=subsets,
                 include_naive=include_naive,
                 naive_subsets=naive_subsets,
-                workers=workers,
             )
 
     present_report = _as_report(sc, present) if metric != "blocking" else None
@@ -544,11 +545,10 @@ def evaluate(
                 model,
                 present_report,
                 control_report,
-                _default_rng(sc, rng, seed),
+                _mc_rng(sc.config.seed, rng, seed),
                 partition=sc.partition if metric == "all" else None,
                 prefixes=tuple(prefixes or PREFIX_RANGE),
                 subsets=subsets,
-                workers=workers,
             )
             result = evaluation if metric == "all" else evaluation.prediction
 
@@ -571,7 +571,6 @@ def compare(
     seed: Optional[int] = None,
     prefixes: Optional[Sequence[int]] = None,
     subsets: int = 1000,
-    workers: Optional[int] = None,
     pack: Optional[str] = None,
 ) -> ComparisonResult:
     """Head-to-head evaluation of rival predictors over one scenario.
@@ -639,11 +638,10 @@ def compare(
             models,
             present_report,
             control_report,
-            _default_rng(sc, rng, seed),
+            _mc_rng(sc.config.seed, rng, seed),
             partition=sc.partition,
             prefixes=tuple(prefixes or PREFIX_RANGE),
             subsets=subsets,
-            workers=workers,
         )
     if cacheable:
         _EVALUATIONS.put(key, result)
@@ -738,22 +736,6 @@ def _resolve_fleet_result(fleet: FleetLike, **kwargs) -> FleetResult:
     return run_fleet(fleet, **kwargs)
 
 
-def _fleet_rng(
-    result: FleetResult,
-    rng: Optional[np.random.Generator],
-    seed: Optional[int],
-) -> np.random.Generator:
-    if rng is not None:
-        if seed is not None:
-            raise ValueError("pass either rng or seed, not both")
-        return rng
-    if seed is not None:
-        return np.random.default_rng(seed)
-    # Derived from the first shard's data seed, so fleet results
-    # reproduce from config.
-    return monte_carlo_rng(result.config.shards[0].config.seed)
-
-
 def fleet_density_test(
     fleet: FleetLike = None,
     report: str = "bot",
@@ -763,7 +745,6 @@ def fleet_density_test(
     seed: Optional[int] = None,
     prefixes: Sequence[int] = tuple(PREFIX_RANGE),
     subsets: int = 1000,
-    workers: Optional[int] = None,
 ) -> DensityResult:
     """The §4.2 spatial test on the *pooled* clearinghouse view.
 
@@ -778,10 +759,9 @@ def fleet_density_test(
         return _density_test(
             pooled,
             ch.pooled_report(control),
-            _fleet_rng(result, rng, seed),
+            _mc_rng(result.config.shards[0].config.seed, rng, seed),
             prefixes=prefixes,
             subsets=subsets,
-            workers=workers,
         )
 
 
@@ -797,7 +777,6 @@ def fleet_prediction_test(
     seed: Optional[int] = None,
     prefixes: Sequence[int] = tuple(PREFIX_RANGE),
     subsets: int = 1000,
-    workers: Optional[int] = None,
 ) -> PredictionResult:
     """The §5.2 temporal test *across* networks.
 
@@ -822,10 +801,9 @@ def fleet_prediction_test(
             past_report,
             feed.reports[present],
             feed.reports[control],
-            _fleet_rng(result, rng, seed),
+            _mc_rng(result.config.shards[0].config.seed, rng, seed),
             prefixes=prefixes,
             subsets=subsets,
-            workers=workers,
         )
 
 

@@ -3,7 +3,7 @@
 Usage::
 
     uncleanliness table1 [--small] [--seed N]
-    uncleanliness figure4 [--subsets N] [--workers W]
+    uncleanliness figure4 [--subsets N]
     uncleanliness all --small
     uncleanliness ablation
     uncleanliness compare [--predictors NAME ...] [--train TAG ...]
@@ -25,8 +25,6 @@ scenario-pack world — ``uncleanliness packs`` lists them.
 Scenario artifacts are cached by the staged engine (``~/.cache/repro``
 or ``$REPRO_CACHE_DIR``), so a warm rerun of any table/figure skips the
 simulation; ``uncleanliness cache`` inspects or clears that cache.
-``--workers`` (default ``$REPRO_WORKERS`` or serial) parallelises the
-Monte-Carlo control subsets with bit-identical results.
 
 Observability: every run executes with span tracing enabled and leaves
 a manifest — config fingerprint, seed, versions, metrics, span tree —
@@ -142,8 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="Monte-Carlo worker processes (default: $REPRO_WORKERS or 1); "
-        "results are bit-identical for any value",
+        help="(fleet) shard worker processes (default: 1, in-process)",
     )
     parser.add_argument(
         "--reports",
@@ -240,8 +237,6 @@ def _run_cache(args: argparse.Namespace) -> int:
               f"{info['disk_hits']} disk; misses: {info['misses']}")
         print(f"  stream ckpts:   {info['stream_checkpoints']} "
               f"day checkpoint(s) ({info['stream_checkpoint_bytes']} bytes)")
-        print(f"  flow chunks:    {info['flow_chunks']} chunk(s) "
-              f"({info['flow_chunk_bytes']} bytes)")
         namespaces = info["fleet_namespaces"]
         print(f"  fleet ckpts:    {info['fleet_checkpoints']} shard "
               f"deliver(ies) in {len(namespaces)} namespace(s)")
@@ -413,7 +408,6 @@ def _run_compare(args: argparse.Namespace, extra: dict) -> int:
             train=train,
             present=args.present,
             subsets=args.subsets,
-            workers=args.workers,
         )
     except (KeyError, ValueError) as err:
         print(f"compare failed: {err}", file=sys.stderr)
@@ -700,9 +694,7 @@ def _run_one(name: str, scenario, args: argparse.Namespace) -> str:
     with obs_trace.span(f"experiment.{name}", subsets=args.subsets):
         if takes_subsets:
             rng = monte_carlo_rng(scenario.config.seed)
-            result = module.run(
-                scenario, rng, subsets=args.subsets, workers=args.workers
-            )
+            result = module.run(scenario, rng, subsets=args.subsets)
         else:
             result = module.run(scenario)
         return module.format_result(result)

@@ -28,7 +28,7 @@ The result reproduces Table 3 and the ROC view of §6.2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -274,7 +274,6 @@ def control_blocking_distribution(
     rng: np.random.Generator,
     prefixes: Sequence[int] = BLOCKING_PREFIXES,
     subsets: int = 1000,
-    workers: Optional[int] = None,
 ) -> Dict[str, Dict[int, BoxplotSummary]]:
     """The §6 null model: would a *random* report block as much?
 
@@ -294,7 +293,7 @@ def control_blocking_distribution(
         ("innocent", partition.innocent),
     ):
         matrix = monte_carlo_covered_counts(
-            target, control, size, subsets, rng, prefixes, workers=workers
+            target, control, size, subsets, rng, prefixes
         )
         out[name] = {
             n: summarize(matrix[:, column])
@@ -310,7 +309,6 @@ def monte_carlo_covered_counts(
     subsets: int,
     rng: np.random.Generator,
     prefixes: Sequence[int],
-    workers: Optional[int] = None,
 ) -> np.ndarray:
     """Monte-Carlo matrix of covered-address counts (one helper so the
     two §6 null distributions share code with any future targets)."""
@@ -322,5 +320,4 @@ def monte_carlo_covered_counts(
         subsets,
         rng,
         statistic=CoveredCountStatistic.for_report(target, prefixes),
-        workers=workers,
     )

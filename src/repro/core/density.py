@@ -114,7 +114,6 @@ def control_density_distribution(
     prefixes: Sequence[int],
     subsets: int,
     rng: np.random.Generator,
-    workers: Optional[int] = None,
 ) -> Dict[int, np.ndarray]:
     """Monte-Carlo block-count distributions over random control subsets.
 
@@ -130,7 +129,6 @@ def control_density_distribution(
         subsets,
         rng,
         statistic=BlockCountStatistic(prefixes),
-        workers=workers,
     )
     return {n: matrix[:, column] for column, n in enumerate(prefixes)}
 
@@ -167,7 +165,6 @@ def density_test(
     subsets: int = 1000,
     include_naive: bool = False,
     naive_subsets: int = 20,
-    workers: Optional[int] = None,
 ) -> DensityResult:
     """Run the spatial uncleanliness test of §4.2 for one report.
 
@@ -175,9 +172,7 @@ def density_test(
     random subsets of ``control`` at every prefix in ``prefixes``.  When
     ``include_naive`` is set, also computes the naive IANA-uniform
     estimate (Fig. 2); the naive distribution is extremely narrow, so a
-    small ``naive_subsets`` suffices.  ``workers`` distributes the
-    control subsets over processes (``None`` = ``$REPRO_WORKERS`` or
-    serial) with bit-identical results.
+    small ``naive_subsets`` suffices.
     """
     prefixes = tuple(prefixes)
     size = len(unclean)
@@ -189,7 +184,7 @@ def density_test(
         )
     observed = density_curve(unclean, prefixes)
     control_dist = control_density_distribution(
-        control, size, prefixes, subsets, rng, workers=workers
+        control, size, prefixes, subsets, rng
     )
     control_summaries = {n: summarize(v) for n, v in control_dist.items()}
     naive_summaries = None

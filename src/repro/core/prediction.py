@@ -107,7 +107,6 @@ def control_intersection_distribution(
     subsets: int,
     rng: np.random.Generator,
     prefixes: Sequence[int],
-    workers: Optional[int] = None,
 ) -> Dict[int, np.ndarray]:
     """Monte-Carlo intersection distributions over random control subsets.
 
@@ -119,8 +118,7 @@ def control_intersection_distribution(
     rival model in a head-to-head comparison (the distribution depends
     only on the present blocks, the control report and the cardinality
     budget — never on the predictor).  Runs on the batched trial-matrix
-    path; values are bit-identical to the per-trial reference for any
-    ``workers`` setting.
+    path; values are bit-identical to the per-trial reference.
     """
     prefixes = tuple(prefixes)
     if len(present_blocks) != len(prefixes):
@@ -139,7 +137,6 @@ def control_intersection_distribution(
         statistic=IntersectionStatistic(
             prefixes=prefixes, present_blocks=tuple(present_blocks)
         ),
-        workers=workers,
     )
     return {n: matrix[:, column] for column, n in enumerate(prefixes)}
 
@@ -192,16 +189,13 @@ def prediction_test(
     rng: np.random.Generator,
     prefixes: Sequence[int] = tuple(rcidr.PREFIX_RANGE),
     subsets: int = 1000,
-    workers: Optional[int] = None,
 ) -> PredictionResult:
     """Run the temporal uncleanliness test of §5.2.
 
     Compares ``|C_n(past) ∩ C_n(present)|`` against the distribution of
     ``|C_n(random control subset) ∩ C_n(present)|`` over ``subsets``
     draws, where each control subset has the cardinality of ``past``
-    (the equal-cardinality condition of Eq. 5).  ``workers`` distributes
-    the draws over processes (``None`` = ``$REPRO_WORKERS`` or serial)
-    with bit-identical results.
+    (the equal-cardinality condition of Eq. 5).
     """
     prefixes = tuple(prefixes)
     size = len(past)
@@ -210,8 +204,7 @@ def prediction_test(
     past_blocks = tuple(rcidr.cidr_set(past, n) for n in prefixes)
     present_blocks = tuple(rcidr.cidr_set(present, n) for n in prefixes)
     control_values = control_intersection_distribution(
-        present_blocks, control, size, subsets, rng, prefixes,
-        workers=workers,
+        present_blocks, control, size, subsets, rng, prefixes
     )
     return prediction_test_blocks(
         past_blocks,

@@ -40,12 +40,6 @@ class ListCoverageStatistic:
     prefix_len: int
     networks: np.ndarray  # sorted active /n networks on the evaluation day
 
-    def label(self) -> str:
-        return (
-            f"list-coverage(/{self.prefix_len})-"
-            f"{self.networks.size}nets"
-        )
-
     def batch(self, ensemble: TrialEnsemble) -> np.ndarray:
         return member_counts_2d(
             ensemble.matrix, (self.networks,), (self.prefix_len,)
@@ -146,7 +140,6 @@ class UncleanlinessTracker:
         control: Optional[Report] = None,
         rng: Optional[np.random.Generator] = None,
         subsets: int = 1000,
-        workers: Optional[int] = None,
     ) -> dict:
         """Score the current list against ground truth on ``day``.
 
@@ -177,7 +170,7 @@ class UncleanlinessTracker:
             if rng is None:
                 raise ValueError("control evaluation requires an explicit rng")
             matrix = self.control_coverage_matrix(
-                day, len(hostile), control, rng, subsets=subsets, workers=workers
+                day, len(hostile), control, rng, subsets=subsets
             )
             fractions = matrix[:, 0] / max(len(hostile), 1)
             result["control_coverage"] = summarize(fractions)
@@ -193,7 +186,6 @@ class UncleanlinessTracker:
         control: Report,
         rng: np.random.Generator,
         subsets: int = 1000,
-        workers: Optional[int] = None,
     ) -> np.ndarray:
         """Monte-Carlo matrix of covered-address counts for the active list.
 
@@ -207,9 +199,7 @@ class UncleanlinessTracker:
             prefix_len=self.config.prefix_len,
             networks=self.blocklist.active_networks(day),
         )
-        return monte_carlo(
-            control, size, subsets, rng, statistic=statistic, workers=workers
-        )
+        return monte_carlo(control, size, subsets, rng, statistic=statistic)
 
     def series(self) -> List[dict]:
         """All update snapshots, oldest first."""

@@ -16,27 +16,24 @@ per-trial path uses — and each trial's draw is a single
 ``Generator.choice(addresses, size, replace=False)`` call on that
 stream.  Row ``i`` is therefore the *sorted* form of the identical
 per-trial sample: batched statistics are bit-identical to the per-trial
-reference, any contiguous slice of trials can be drawn independently by
-any worker, and the draws themselves (numpy's O(size) Floyd sampling
-per stream) are the only per-trial work left.
+reference, any contiguous slice of trials can be drawn on its own, and
+the draws themselves (numpy's O(size) Floyd sampling per stream) are
+the only per-trial work left.
 
 :class:`TrialStatistic` is the protocol the statistical layers
 implement to plug into :func:`repro.core.sampling.monte_carlo`: a
-batched ``batch`` evaluation, a per-trial ``per_trial`` reference (kept
-for equivalence tests), and a deterministic ``label`` for checkpoint
-keys.  The concrete statistics the paper's tests run on — block counts
-(Figs. 2-3), block intersections (Figs. 4-5) and covered-address counts
-(§6's null model) — live here too, next to the protocol they implement:
-they are parametrised by *precomputed block sets*, never by a model, so
-any :class:`~repro.predict.protocol.Predictor` (or the raw reports the
-paper uses) can feed them.  The old homes
-(:mod:`repro.core.density`, :mod:`repro.core.prediction`,
-:mod:`repro.core.blocking`) keep re-exports.
+batched ``batch`` evaluation and a per-trial ``per_trial`` reference
+(kept for equivalence tests).  The concrete statistics the paper's
+tests run on — block counts (Figs. 2-3), block intersections
+(Figs. 4-5) and covered-address counts (§6's null model) — live here
+too, next to the protocol they implement: they are parametrised by
+*precomputed block sets*, never by a model, so any
+:class:`~repro.predict.protocol.Predictor` (or the raw reports the
+paper uses) can feed them.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -78,8 +75,8 @@ def trial_seed(
     every sibling.
 
     ``SeedSequence(entropy, spawn_key=parent_key + (i,))`` is exactly the
-    ``i``-th element of ``parent.spawn(n)`` — this is how workers derive
-    their trials' streams independently.
+    ``i``-th element of ``parent.spawn(n)`` — this is how each trial
+    derives its stream independently of the others.
     """
     return np.random.SeedSequence(
         entropy=entropy, spawn_key=tuple(spawn_key) + (index,)
@@ -94,12 +91,8 @@ class TrialStatistic(Protocol):
     column per output component); ``per_trial`` is the retained scalar
     reference — it must return the same ``k`` values ``batch`` produces
     for that trial's row, and is what the hypothesis equivalence tests
-    compare against; ``label`` is a deterministic string identifying the
-    statistic *and its parameters* (it keys Monte-Carlo checkpoints).
+    compare against.
     """
-
-    def label(self) -> str:  # pragma: no cover - protocol
-        ...
 
     def batch(self, ensemble: "TrialEnsemble") -> np.ndarray:  # pragma: no cover
         ...
@@ -123,7 +116,7 @@ class TrialEnsemble:
         ``(trials, cardinality)`` ``uint32``, each row sorted ascending —
         trial ``start + i``'s control subset as row ``i``.
     start:
-        Global index of the first trial (ensembles are drawn in chunks).
+        Global index of the first trial (an ensemble may be a slice).
     source_tag:
         Tag of the control report the trials were drawn from.
     """
@@ -241,11 +234,7 @@ class TrialEnsemble:
 
 def _block_count_vector(report: Report, prefixes: Sequence[int]) -> List[int]:
     """Per-prefix block counts — the per-trial reference statistic of
-    Figs. 2-3 (the batched path is :class:`BlockCountStatistic`).
-
-    Module-level (not a closure) so the parallel ``monte_carlo`` path can
-    pickle it into worker processes.
-    """
+    Figs. 2-3 (the batched path is :class:`BlockCountStatistic`)."""
     return [_lowcidr.block_count(report, n) for n in prefixes]
 
 
@@ -258,9 +247,6 @@ class BlockCountStatistic:
     """
 
     prefixes: Tuple[int, ...]
-
-    def label(self) -> str:
-        return "block-counts(" + ",".join(str(n) for n in self.prefixes) + ")"
 
     def batch(self, ensemble: TrialEnsemble) -> np.ndarray:
         return block_counts_2d(ensemble.matrix, self.prefixes)
@@ -276,11 +262,7 @@ def _intersection_vector(
 ) -> List[int]:
     """Per-prefix block intersections with the (precomputed) present
     report — the per-trial reference statistic of Figs. 4-5 (the batched
-    path is :class:`IntersectionStatistic`).
-
-    Module-level (not a closure) so the parallel ``monte_carlo`` path can
-    pickle it into worker processes.
-    """
+    path is :class:`IntersectionStatistic`)."""
     values = []
     for blocks, n in zip(present_blocks, prefixes):
         subset_blocks = rcidr.cidr_set(subset, n)
@@ -302,15 +284,6 @@ class IntersectionStatistic:
     prefixes: Tuple[int, ...]
     present_blocks: Tuple[np.ndarray, ...]
 
-    def label(self) -> str:
-        # The block sets parametrise the statistic just as much as the
-        # prefixes do, so their content keys the checkpoint label.
-        digest = hashlib.sha256()
-        for blocks in self.present_blocks:
-            digest.update(np.ascontiguousarray(blocks).tobytes())
-        joined = ",".join(str(n) for n in self.prefixes)
-        return f"intersections({joined})-{digest.hexdigest()[:12]}"
-
     def batch(self, ensemble: TrialEnsemble) -> np.ndarray:
         return intersection_counts_2d(
             ensemble.matrix, self.present_blocks, self.prefixes
@@ -318,28 +291,6 @@ class IntersectionStatistic:
 
     def per_trial(self, subset: Report) -> List[int]:
         return _intersection_vector(subset, self.present_blocks, self.prefixes)
-
-    # -- shared-array protocol (repro.core.sampling shm handoff) ----------
-    # The block sets are the statistic's heavy payload; shipping them to
-    # Monte-Carlo workers by shared-memory handle instead of per-chunk
-    # pickle is what these three hooks enable.
-
-    def shared_arrays(self) -> dict:
-        return {
-            f"blocks{i}": np.ascontiguousarray(blocks)
-            for i, blocks in enumerate(self.present_blocks)
-        }
-
-    def without_shared_arrays(self) -> "IntersectionStatistic":
-        return IntersectionStatistic(prefixes=self.prefixes, present_blocks=())
-
-    def with_shared_arrays(self, arrays: dict) -> "IntersectionStatistic":
-        return IntersectionStatistic(
-            prefixes=self.prefixes,
-            present_blocks=tuple(
-                arrays[f"blocks{i}"] for i in range(len(self.prefixes))
-            ),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,7 +309,6 @@ class CoveredCountStatistic:
     prefixes: Tuple[int, ...]
     target_blocks: Tuple[np.ndarray, ...]
     target_weights: Tuple[np.ndarray, ...]
-    target_tag: str = ""
 
     @classmethod
     def for_report(
@@ -376,12 +326,7 @@ class CoveredCountStatistic:
             prefixes=prefixes,
             target_blocks=tuple(blocks),
             target_weights=tuple(weights),
-            target_tag=target.tag,
         )
-
-    def label(self) -> str:
-        joined = ",".join(str(n) for n in self.prefixes)
-        return f"covered-counts({joined})@{self.target_tag}"
 
     def batch(self, ensemble: TrialEnsemble) -> np.ndarray:
         return intersection_counts_2d(

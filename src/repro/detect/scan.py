@@ -22,9 +22,8 @@ triples off run boundaries — no row-table ``np.unique(axis=0)`` passes;
 :meth:`~ScanAggregates.merge_all` folds aggregates of any split of a
 log; and :meth:`~ScanAggregates.flagged` applies the thresholds.  Every
 column is an exact integer and triple dedup commutes with set union, so
-:meth:`ScanDetector.detect` (one aggregate), the chunked fold
-:meth:`ScanDetector.detect_chunked` and any other split of the window
-reach the same verdict by construction.
+:meth:`ScanDetector.detect` (one aggregate) and the merge of any split
+of the window reach the same verdict by construction.
 :meth:`ScanDetector.detect_reference` retains the original row-table
 formulation as the semantic reference the property tests pin the
 aggregate to.
@@ -33,7 +32,7 @@ aggregate to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -48,9 +47,6 @@ from repro.flows.kernels import (
 )
 from repro.flows.log import FlowLog
 from repro.flows.record import Protocol, TCPFlags
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.flows.chunked import ChunkedFlowLog
 
 __all__ = ["ScanDetectorConfig", "ScanDetector", "ScanAggregates"]
 
@@ -164,7 +160,7 @@ class ScanAggregates:
         Keys are rebased to the smallest part base, then integer totals
         add per group and triple sets union.  Both are associative and
         commutative, so the result is the same for any split, order and
-        grouping of ``parts`` — chunks may straddle hours, days or even
+        grouping of ``parts`` — parts may straddle hours, days or even
         interleave sources.
         """
         parts = [p for p in parts if p.pair_keys.size]
@@ -212,26 +208,6 @@ class ScanDetector:
         """Sorted unique source addresses flagged as scanners."""
         with obs.instrument("detect.scan", events=len(flows)):
             return ScanAggregates.from_flows(flows).flagged(self.config)
-
-    def detect_chunked(self, chunks: "Iterable[FlowLog]") -> np.ndarray:
-        """Fold the detector over flow-log chunks without materialising.
-
-        ``chunks`` is any iterable of :class:`FlowLog` spans covering the
-        window — typically ``ChunkedFlowLog.iter_chunks()``.  The result
-        is bit-identical to :meth:`detect` on the concatenated log for
-        any chunking.
-        """
-        from repro.flows.chunked import ChunkedFlowLog, fold_partials
-
-        if isinstance(chunks, ChunkedFlowLog):
-            chunks = chunks.iter_chunks()
-        with obs.instrument("detect.scan_chunked"):
-            aggregates = fold_partials(
-                (ScanAggregates.from_flows(chunk) for chunk in chunks),
-                rows=lambda a: a.pair_keys.size + a.triple_keys.size,
-                merge_all=ScanAggregates.merge_all,
-            )
-            return aggregates.flagged(self.config)
 
     # -- row-table reference ----------------------------------------------
 

@@ -22,16 +22,15 @@ Every verdict goes through one mergeable aggregate,
 span of flows to exact per-source columns plus the distinct
 ``(source, day)`` table, :meth:`~SpamAggregates.merge_all` folds
 aggregates of any split of a log, and :meth:`~SpamAggregates.flagged`
-applies the thresholds.  Batch detection (:meth:`SpamDetector.detect`),
-the out-of-core fold (:meth:`SpamDetector.detect_chunked`) and the
-stream's day fold (:class:`repro.stream.state.IncrementalState`)
+applies the thresholds.  Batch detection (:meth:`SpamDetector.detect`)
+and the stream's day fold (:class:`repro.stream.state.IncrementalState`)
 therefore agree by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -39,9 +38,6 @@ from repro import obs
 from repro.flows.kernels import distinct_pairs, sum_by_key
 from repro.flows.log import FlowLog
 from repro.flows.record import Protocol
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.flows.chunked import ChunkedFlowLog
 
 __all__ = ["SpamDetectorConfig", "SpamDetector", "SpamAggregates"]
 
@@ -195,26 +191,3 @@ class SpamDetector:
         """Sorted unique source addresses flagged as spammers."""
         with obs.instrument("detect.spam", events=len(flows)):
             return SpamAggregates.from_flows(flows).flagged(self.config)
-
-    def detect_chunked(
-        self, chunks: Union["ChunkedFlowLog", Iterable[FlowLog]]
-    ) -> np.ndarray:
-        """:meth:`detect` as a fold over flow-log chunks.
-
-        Accepts a :class:`~repro.flows.chunked.ChunkedFlowLog` or any
-        iterable of :class:`FlowLog` spans; one chunk plus the running
-        :class:`SpamAggregates` is resident at a time, and the flagged
-        set is bit-identical to :meth:`detect` on the concatenated log
-        for any chunking (day-straddling boundaries included).
-        """
-        from repro.flows.chunked import ChunkedFlowLog, fold_partials
-
-        if isinstance(chunks, ChunkedFlowLog):
-            chunks = chunks.iter_chunks()
-        with obs.instrument("detect.spam_chunked"):
-            aggregates = fold_partials(
-                (SpamAggregates.from_flows(chunk) for chunk in chunks),
-                rows=lambda a: a.sources.size + a.day_sources.size,
-                merge_all=SpamAggregates.merge_all,
-            )
-            return aggregates.flagged(self.config)

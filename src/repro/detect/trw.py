@@ -38,25 +38,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.flows.kernels import (
     grouped_cumsum,
-    pack64,
-    segment_bounds,
     segment_first_true,
     segment_positions,
 )
 from repro.flows.log import FlowLog
 from repro.flows.record import Protocol, TCPFlags
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.flows.chunked import ChunkedFlowLog
-
-__all__ = ["FirstContactAggregates", "TRWConfig", "TRWDetector", "TRWState"]
+__all__ = ["TRWConfig", "TRWDetector", "TRWState"]
 
 
 @dataclass(frozen=True)
@@ -111,96 +106,6 @@ class TRWState:
     verdict: str = "pending"  # "pending" | "scanner" | "benign"
 
 
-@dataclass(frozen=True)
-class FirstContactAggregates:
-    """Mergeable per-pair first-contact state for streaming TRW.
-
-    TRW's only cross-flow coupling is "first contact per (src, dst)
-    pair", and *earliest* is a min — so the partial state per chunk is
-    simply each pair's minimal ``(start_time, global log position)``
-    flow, which merges exactly for **any** positional split of the log.
-    ``positions`` are global offsets into the unchunked log so that the
-    tie-break between equal-time contacts reproduces the in-memory
-    stable sort bit for bit (restricted to TCP flows, global order and
-    TCP-filtered order coincide).
-    """
-
-    #: Sorted unique ``(src << 32) | dst`` pair keys (uint64).
-    pair_keys: np.ndarray
-    #: Earliest start time seen for each pair (float64).
-    times: np.ndarray
-    #: Global log position of that earliest flow (int64).
-    positions: np.ndarray
-    #: Whether that flow carried an ACK (bool).
-    acked: np.ndarray
-
-    @classmethod
-    def empty(cls) -> "FirstContactAggregates":
-        return cls(
-            pair_keys=np.asarray([], dtype=np.uint64),
-            times=np.asarray([], dtype=np.float64),
-            positions=np.asarray([], dtype=np.int64),
-            acked=np.asarray([], dtype=bool),
-        )
-
-    @classmethod
-    def from_flows(cls, flows: FlowLog, offset: int = 0) -> "FirstContactAggregates":
-        """Aggregate one chunk whose first flow sits at global ``offset``."""
-        tcp = flows.protocol == Protocol.TCP
-        positions = offset + np.flatnonzero(tcp)
-        if positions.size == 0:
-            return cls.empty()
-        keys = pack64(flows.src_addr[tcp], flows.dst_addr[tcp])
-        times = flows.start_time[tcp]
-        acked = (flows.tcp_flags[tcp] & TCPFlags.ACK) != 0
-        return cls._first_per_pair(keys, times, positions, acked)
-
-    @staticmethod
-    def _first_per_pair(keys, times, positions, acked) -> "FirstContactAggregates":
-        # Sort by (pair, time, position); the head of each pair run is
-        # that pair's earliest contact under the exact tie-break the
-        # in-memory stable time sort uses.
-        order = np.lexsort((positions, times, keys))
-        sorted_keys = keys[order]
-        starts, _ = segment_bounds(sorted_keys)
-        head = order[starts]
-        return FirstContactAggregates(
-            pair_keys=sorted_keys[starts],
-            times=times[head],
-            positions=positions[head],
-            acked=acked[head],
-        )
-
-    @classmethod
-    def merge_all(
-        cls, parts: "Iterable[FirstContactAggregates]"
-    ) -> "FirstContactAggregates":
-        """Merge any number of partials in one sort over their union.
-
-        Per-pair min of ``(time, position)`` is associative and
-        commutative, so the result is the same for any split, order and
-        grouping of ``parts``.
-        """
-        parts = [p for p in parts if p.pair_keys.size]
-        if not parts:
-            return cls.empty()
-        if len(parts) == 1:
-            return parts[0]
-        return cls._first_per_pair(
-            np.concatenate([p.pair_keys for p in parts]),
-            np.concatenate([p.times for p in parts]),
-            np.concatenate([p.positions for p in parts]),
-            np.concatenate([p.acked for p in parts]),
-        )
-
-    def contacts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(sources, successes)`` in global (time, position) order —
-        the exact input sequence of the in-memory walk kernel."""
-        order = np.lexsort((self.positions, self.times))
-        sources = (self.pair_keys[order] >> np.uint64(32)).astype(np.uint32)
-        return sources, self.acked[order]
-
-
 class TRWDetector:
     """Sequential hypothesis-test scan detector over a flow log."""
 
@@ -247,12 +152,7 @@ class TRWDetector:
         first threshold crossing, so everything after a source's crossing
         is ignored — the walk-freezing semantics of the loop.
         """
-        return self._walk_from_contacts(*self._first_contacts(flows))
-
-    def _walk_from_contacts(
-        self, contact_src: np.ndarray, contact_success: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Run the walk over a time-ordered first-contact sequence."""
+        contact_src, contact_success = self._first_contacts(flows)
         cfg = self.config
         upper = math.log(cfg.upper_threshold)
         lower = math.log(cfg.lower_threshold)
@@ -306,45 +206,6 @@ class TRWDetector:
         """Sorted unique source addresses declared scanners."""
         with obs.instrument("detect.trw", events=len(flows)):
             sources, _, _, verdict_code = self._walk_kernel(flows)
-            return sources[verdict_code == 1].astype(np.uint32)
-
-    def detect_chunked(
-        self, chunks: Union["ChunkedFlowLog", Iterable[FlowLog]]
-    ) -> np.ndarray:
-        """:meth:`detect` as a fold over flow-log chunks.
-
-        Accepts a :class:`~repro.flows.chunked.ChunkedFlowLog` or any
-        iterable of positional :class:`FlowLog` slices; only one chunk
-        plus the per-pair first-contact table is resident at a time.
-        Bit-identical to :meth:`detect` on the concatenated log for any
-        chunking, because the fold keeps each pair's earliest contact
-        under the same (time, log position) order the in-memory kernel
-        sorts by.
-        """
-        from repro.flows.chunked import ChunkedFlowLog, fold_partials
-
-        if isinstance(chunks, ChunkedFlowLog):
-            chunks = chunks.iter_chunks()
-        with obs.instrument("detect.trw_chunked"):
-            seen = [0]
-
-            def _parts():
-                for chunk in chunks:
-                    part = FirstContactAggregates.from_flows(
-                        chunk, offset=seen[0]
-                    )
-                    seen[0] += len(chunk)
-                    yield part
-
-            aggregate = fold_partials(
-                _parts(),
-                rows=lambda a: a.pair_keys.size,
-                merge_all=FirstContactAggregates.merge_all,
-            )
-            obs.metrics.inc("detect.trw_chunked.events", seen[0])
-            sources, _, _, verdict_code = self._walk_from_contacts(
-                *aggregate.contacts()
-            )
             return sources[verdict_code == 1].astype(np.uint32)
 
     # -- sequential reference ---------------------------------------------

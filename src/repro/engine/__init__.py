@@ -12,9 +12,8 @@ address data additionally persist to disk (``~/.cache/repro`` or
 simulation entirely.
 """
 
-from repro.engine import faults, shm
+from repro.engine import faults
 from repro.engine.faults import FaultPlan, FaultRule, FaultSpecError, InjectedFault
-from repro.engine.shm import SharedHandle, SharedPack
 from repro.engine.fingerprint import canonicalize, fingerprint
 from repro.engine.stage import Stage, StageContext, StageEngine
 from repro.engine.store import (
@@ -51,9 +50,6 @@ __all__ = [
     "VersionSkew",
     "CorruptArtifact",
     "faults",
-    "shm",
-    "SharedHandle",
-    "SharedPack",
     "FaultPlan",
     "FaultRule",
     "FaultSpecError",

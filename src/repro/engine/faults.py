@@ -3,7 +3,7 @@
 The chaos-test substrate: a :class:`FaultPlan` is a schedule of
 :class:`FaultRule` entries, each naming an injection **site** (a
 string such as ``"store.read"``) and a fault **kind** (raise an
-``OSError``, corrupt a payload, crash the worker process, sleep).
+``OSError``, corrupt a payload, crash a shard's worker process, sleep).
 Production code calls :func:`check` at each site; with no active plan
 that is a dictionary lookup and nothing more.
 
@@ -15,20 +15,20 @@ phase, giving distinct-but-reproducible schedules from one spec.
 
 Activation:
 
-* ``REPRO_FAULTS=<spec>`` in the environment (read lazily, so pool
+* ``REPRO_FAULTS=<spec>`` in the environment (read lazily, so fleet
   worker processes pick the plan up regardless of start method), or
 * ``with injected(plan): ...`` in tests (overrides the environment for
   the duration of the block).
 
 Spec grammar (sites joined with ``;``)::
 
-    REPRO_FAULTS="store.write:enospc:every=3;worker.crash:every=5,times=2"
+    REPRO_FAULTS="store.write:enospc:every=3;shard.crash:every=5,times=2"
     REPRO_FAULTS="io-flaky"          # named profile, see PROFILES
 
 The kind may be omitted when the site has an obvious default
-(``store.read`` -> ``oserror``, ``worker.crash`` -> ``crash``, ...).
+(``store.read`` -> ``oserror``, ``shard.crash`` -> ``crash``, ...).
 
-``worker.crash`` rules only act inside a multiprocessing worker (the
+``shard.crash`` rules only act inside a multiprocessing worker (the
 call still consumes a schedule slot in the main process); everything
 else fires wherever it is hit.
 """
@@ -70,9 +70,6 @@ SITES = (
     "store.write",    # writing a sidecar or payload to disk
     "store.commit",   # between payload and sidecar rename (crash window)
     "store.corrupt",  # after a successful dump: flip payload bytes
-    "worker.crash",   # hard-exit a Monte-Carlo worker process
-    "worker.fail",    # raise InjectedFault inside a trial chunk
-    "worker.slow",    # sleep inside a trial chunk
     "stage.slow",     # sleep inside a stage build
     "shard.crash",    # hard-exit a fleet shard's worker process
     "shard.fail",     # raise InjectedFault inside a shard job
@@ -86,9 +83,6 @@ _DEFAULT_KIND = {
     "store.write": "oserror",
     "store.commit": "slow",
     "store.corrupt": "corrupt",
-    "worker.crash": "crash",
-    "worker.fail": "fail",
-    "worker.slow": "slow",
     "stage.slow": "slow",
     "shard.crash": "crash",
     "shard.fail": "fail",
@@ -106,7 +100,6 @@ _KINDS = ("oserror", "enospc", "fail", "crash", "slow", "corrupt")
 PROFILES = {
     "io-flaky": "store.read:oserror:every=3;store.write:oserror:every=5",
     "disk-full": "store.write:enospc:every=3",
-    "worker-crash": "worker.crash:every=3",
     "corrupt": "store.corrupt:every=3",
     "slow-stage": "stage.slow:every=2,delay=0.01",
     # Shard-boundary profiles for the fleet supervisor: every=3 keeps

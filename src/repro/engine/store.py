@@ -45,6 +45,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core.report import Report
 from repro.engine import faults
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -250,10 +251,6 @@ def _report_meta(report: Report) -> dict:
 
 
 def _report_from(addresses: np.ndarray, meta: dict) -> Report:
-    # Lazy: repro.core imports repro.flows, whose chunked layer needs
-    # this module — a cycle if the Report types were bound at import.
-    from repro.core.report import Report
-
     period = None
     if meta["period"] is not None:
         period = (
@@ -304,7 +301,7 @@ class PartitionCodec(Codec):
 
 
 class ArrayCodec(Codec):
-    """A bare ndarray — Monte-Carlo chunk checkpoints."""
+    """A bare ndarray (the stream service's checkpoint head)."""
 
     name = "ndarray"
 
@@ -512,23 +509,15 @@ class ArtifactStore:
 
     # -- access -----------------------------------------------------------
 
-    def get(self, key: str, codec: Optional[Codec] = None, cache: bool = True) -> Any:
-        """The cached value for ``key``, or :data:`MISS`.
-
-        ``cache=False`` streams the value past the in-memory LRU: a disk
-        hit is decoded and returned without being remembered.  The
-        out-of-core flow-log layer uses this so iterating a hundred
-        chunks leaves the LRU — and peak RSS — untouched.
-        """
+    def get(self, key: str, codec: Optional[Codec] = None) -> Any:
+        """The cached value for ``key``, or :data:`MISS`."""
         with obs_trace.span("store.get", key=key) as sp:
-            value, outcome = self._lookup(key, codec, cache)
+            value, outcome = self._lookup(key, codec)
             sp.set(outcome=outcome)
         obs_metrics.inc(f"store.get.{outcome}")
         return value
 
-    def _lookup(
-        self, key: str, codec: Optional[Codec], cache: bool = True
-    ) -> Tuple[Any, str]:
+    def _lookup(self, key: str, codec: Optional[Codec]) -> Tuple[Any, str]:
         if key in self._memory:
             self._memory.move_to_end(key)
             self.memory_hits += 1
@@ -538,8 +527,7 @@ class ArtifactStore:
             value = self._disk_read(key, base, codec)
             if value is not MISS:
                 self.disk_hits += 1
-                if cache:
-                    self._remember(key, value)
+                self._remember(key, value)
                 return value, "disk-hit"
         self.misses += 1
         return MISS, "miss"
@@ -563,22 +551,11 @@ class ArtifactStore:
             )
             return MISS
 
-    def put(
-        self,
-        key: str,
-        value: Any,
-        codec: Optional[Codec] = None,
-        cache: bool = True,
-    ) -> None:
-        """Cache ``value``; persist to disk when a codec is given.
-
-        ``cache=False`` writes through to disk without pinning the value
-        in the in-memory LRU (the spill path of the out-of-core flow-log
-        layer — chunks are written once and re-read streamingly).
-        """
+    def put(self, key: str, value: Any, codec: Optional[Codec] = None) -> None:
+        """Cache ``value``; persist to disk when a codec is given."""
         self.puts += 1
         with obs_trace.span("store.put", key=key) as sp:
-            outcome, nbytes = self._store(key, value, codec, cache)
+            outcome, nbytes = self._store(key, value, codec)
             sp.set(outcome=outcome)
         obs_metrics.inc(f"store.put.{outcome}")
         if nbytes:
@@ -586,10 +563,9 @@ class ArtifactStore:
             obs_metrics.inc(f"store.bytes.{stage}", nbytes)
 
     def _store(
-        self, key: str, value: Any, codec: Optional[Codec], cache: bool = True
+        self, key: str, value: Any, codec: Optional[Codec]
     ) -> Tuple[str, int]:
-        if cache:
-            self._remember(key, value)
+        self._remember(key, value)
         base = self._disk_base(key)
         if codec is None or base is None:
             return "memory", 0
@@ -610,44 +586,6 @@ class ArtifactStore:
     def _dump(self, base: Path, codec: Codec, value: Any) -> int:
         base.parent.mkdir(parents=True, exist_ok=True)
         return codec.dump(value, base)
-
-    def has_disk(self, key: str) -> bool:
-        """Whether ``key`` has a complete entry on disk right now.
-
-        The out-of-core flow-log spiller uses this to confirm a
-        ``cache=False`` write actually landed; when it did not (no disk
-        layer, or the store degraded mid-write) the chunk must stay
-        resident with the caller.
-        """
-        base = self._disk_base(key)
-        if base is None or self.degraded:
-            return False
-        return _sidecar(base).exists() and _payload(base).exists()
-
-    def disk_entry_bytes(self, key: str) -> int:
-        """Payload + sidecar bytes of ``key`` on disk (0 when absent)."""
-        base = self._disk_base(key)
-        if base is None:
-            return 0
-        total = 0
-        for path in (_payload(base), _sidecar(base)):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def drop(self, key: str) -> None:
-        """Forget ``key`` everywhere (memory and disk, best effort)."""
-        self._memory.pop(key, None)
-        base = self._disk_base(key)
-        if base is None:
-            return
-        for path in (_payload(base), _sidecar(base)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
 
     def _remember(self, key: str, value: Any) -> None:
         self._memory[key] = value
@@ -745,21 +683,6 @@ class ArtifactStore:
                 if path.name.endswith(".json") and ".stream.day-" in path.name
             ),
         }
-        # Out-of-core flow-log chunks (repro.flows.chunked keys look like
-        # <prefix>/flowchunk-<NNNNN>; count entries and payload bytes).
-        chunk_files = 0
-        chunk_bytes = 0
-        for path in files:
-            if ".flowchunk-" not in path.name:
-                continue
-            if path.name.endswith(".json"):
-                chunk_files += 1
-            try:
-                chunk_bytes += path.stat().st_size
-            except OSError:
-                pass
-        snapshot["flow_chunks"] = chunk_files
-        snapshot["flow_chunk_bytes"] = chunk_bytes
         # Streaming checkpoint bytes plus fleet shard-delivery
         # checkpoints (repro.fleet keys look like
         # fleet-<fp>/shard-<name>.reports), grouped into per-namespace

@@ -100,7 +100,6 @@ def run(
     rng: Optional[np.random.Generator] = None,
     subsets: int = 200,
     naive_subsets: int = 20,
-    workers: Optional[int] = None,
 ) -> Figure2Result:
     """Regenerate Figure 2 from a built scenario."""
     # Routed through the facade's predictor-generic evaluate() entry;
@@ -118,7 +117,6 @@ def run(
         subsets=subsets,
         include_naive=True,
         naive_subsets=naive_subsets,
-        workers=workers,
     )
     return Figure2Result(density=density)
 

@@ -67,7 +67,6 @@ def run(
     scenario: PaperScenario,
     rng: Optional[np.random.Generator] = None,
     subsets: int = 200,
-    workers: Optional[int] = None,
 ) -> Figure3Result:
     """Regenerate the four panels of Figure 3."""
     from repro.api import evaluate
@@ -81,7 +80,6 @@ def run(
             control=scenario.control,
             rng=rng,
             subsets=subsets,
-            workers=workers,
         )
         for tag in REPORT_TAGS
     }

@@ -79,7 +79,6 @@ def run(
     scenario: PaperScenario,
     rng: Optional[np.random.Generator] = None,
     subsets: int = 200,
-    workers: Optional[int] = None,
 ) -> Figure4Result:
     """Regenerate the four panels of Figure 4."""
     # Each panel is the uncleanliness predictor (fit on bot-test) run
@@ -98,7 +97,6 @@ def run(
             control=scenario.control,
             rng=rng,
             subsets=subsets,
-            workers=workers,
         )
         for tag in TARGET_TAGS
     }

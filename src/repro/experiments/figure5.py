@@ -38,7 +38,6 @@ def run(
     scenario: PaperScenario,
     rng: Optional[np.random.Generator] = None,
     subsets: int = 200,
-    workers: Optional[int] = None,
 ) -> Figure5Result:
     """Regenerate Figure 5."""
     from repro.api import evaluate
@@ -52,7 +51,6 @@ def run(
         control=scenario.control,
         rng=rng,
         subsets=subsets,
-        workers=workers,
     )
     return Figure5Result(prediction=prediction)
 

@@ -1,6 +1,5 @@
 """NetFlow substrate: records, columnar logs, and border traffic generation."""
 
-from repro.flows.chunked import ChunkedFlowLog, FlowChunkCodec
 from repro.flows.generator import BorderTraffic, TrafficConfig, TrafficGenerator
 from repro.flows.log import FlowBatch, FlowLog
 from repro.flows.stats import (
@@ -22,8 +21,6 @@ __all__ = [
     "FlowRecord",
     "FlowLog",
     "FlowBatch",
-    "ChunkedFlowLog",
-    "FlowChunkCodec",
     "Protocol",
     "TCPFlags",
     "HEADER_BYTES_PER_PACKET",

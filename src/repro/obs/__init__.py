@@ -6,8 +6,7 @@ reproduction:
 ``repro.obs.trace``
     Nested :class:`~repro.obs.trace.Span` timing with a process-global
     tracer; disabled by default with a one-attribute-check no-op fast
-    path, serialisable so worker-process spans merge into the
-    supervisor's tree.
+    path, serialisable into the run manifest.
 ``repro.obs.metrics``
     Typed counters/gauges/histograms (fixed log-spaced buckets, so
     merges are deterministic), JSON and Prometheus-text export, and the
@@ -55,7 +54,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     warn_event,
 )
-from repro.obs.trace import Span, Tracer, attach, coverage, span, tracer
+from repro.obs.trace import Span, Tracer, coverage, span, tracer
 
 __all__ = [
     "trace",
@@ -66,7 +65,6 @@ __all__ = [
     "Tracer",
     "span",
     "tracer",
-    "attach",
     "coverage",
     "Counter",
     "Gauge",

@@ -302,7 +302,7 @@ def warn_event(
 ) -> None:
     """Structured warning: counted in metrics, logged as ``key=value``.
 
-    ``event`` is a dotted slug (``workers.malformed``); the counter
+    ``event`` is a dotted slug (``store.degraded``); the counter
     ``events.warn.<event>`` makes the warning assertable by tests and
     the chaos CI legs.  ``logger`` defaults to ``repro.obs.events`` but
     call sites pass their module logger so existing log-capture

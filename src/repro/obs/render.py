@@ -11,7 +11,7 @@ from typing import Dict, List
 
 __all__ = ["render_span_tree", "hotspot_rows", "render_hotspots"]
 
-_ATTR_ORDER = ("outcome", "key", "trials", "workers", "flows", "events")
+_ATTR_ORDER = ("outcome", "key", "trials", "flows", "events")
 
 
 def _ms(seconds: float) -> str:

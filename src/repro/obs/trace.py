@@ -12,11 +12,6 @@ resolves) cost a single function call when nobody is looking.  Enable it
 with :func:`enable` / ``$REPRO_TRACE=1``; the CLI enables it for every
 verb so run manifests always carry a span tree.
 
-Spans created in worker processes cannot share the parent's tracer;
-workers build their own :class:`Tracer`, serialise the finished span
-with :meth:`Span.to_dict`, and the supervisor grafts it into the live
-tree with :func:`attach` (see ``repro.core.sampling.monte_carlo``).
-
 This module is dependency-free (stdlib only) and must never import from
 the rest of :mod:`repro` — every layer imports *it*.
 """
@@ -34,7 +29,6 @@ __all__ = [
     "tracer",
     "set_tracer",
     "span",
-    "attach",
     "enable",
     "disable",
     "enabled",
@@ -86,14 +80,6 @@ class Span:
             "children": [child.to_dict() for child in self.children],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Span":
-        sp = cls(str(data["name"]), data.get("attrs") or {})
-        sp.wall = float(data.get("wall", 0.0))
-        sp.cpu = float(data.get("cpu", 0.0))
-        sp.children = [cls.from_dict(c) for c in data.get("children", ())]
-        return sp
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Span({self.name!r}, wall={self.wall:.4f}s, "
@@ -123,8 +109,7 @@ class Tracer:
     """Collects a span tree for one process.
 
     Not thread-safe by design: the engine, experiments and CLI are
-    single-threaded, and worker *processes* get their own tracer whose
-    finished spans are merged with :meth:`attach`.
+    single-threaded.
     """
 
     def __init__(self, enabled: bool = False) -> None:
@@ -152,16 +137,6 @@ class Tracer:
                 self._stack[-1].children.append(sp)
             else:
                 self.roots.append(sp)
-
-    def attach(self, span_dict: Optional[dict]) -> None:
-        """Graft a serialised span (from a worker) into the live tree."""
-        if span_dict is None or not self.enabled:
-            return
-        sp = Span.from_dict(span_dict)
-        if self._stack:
-            self._stack[-1].children.append(sp)
-        else:
-            self.roots.append(sp)
 
     @property
     def current(self) -> Optional[Span]:
@@ -203,11 +178,6 @@ def span(name: str, **attrs: Any):
     if not t.enabled:
         return _NOOP
     return t.span(name, **attrs)
-
-
-def attach(span_dict: Optional[dict]) -> None:
-    """Graft a worker's serialised span into the global tracer."""
-    _TRACER.attach(span_dict)
 
 
 def enable() -> None:

@@ -21,8 +21,7 @@ cardinality budget — never on the predictor — so
 cardinality and reuses it across all rivals.  A comparison of three
 models therefore costs one Monte-Carlo run plus three cheap
 intersection/blocking passes, and the baseline adapter's numbers are
-bit-identical to the legacy single-model path for any ``workers``
-setting.
+bit-identical to the legacy single-model path.
 
 Evaluations are cached in the artifact store under a key that embeds
 the predictor fingerprint next to the scenario/evaluation parameters
@@ -193,7 +192,6 @@ def evaluate_predictor(
     prefixes: Sequence[int] = tuple(rcidr.PREFIX_RANGE),
     blocking_prefixes: Sequence[int] = BLOCKING_PREFIXES,
     subsets: int = 1000,
-    workers: Optional[int] = None,
     control_values: Optional[Dict[int, np.ndarray]] = None,
 ) -> ModelEvaluation:
     """Run one fitted predictor through the paper's evaluations.
@@ -218,7 +216,6 @@ def evaluate_predictor(
             subsets,
             rng,
             prefixes,
-            workers=workers,
         )
     prediction = prediction_test_blocks(
         _predicted_blocks(predictor, prefixes),
@@ -264,7 +261,6 @@ def compare_predictors(
     prefixes: Sequence[int] = tuple(rcidr.PREFIX_RANGE),
     blocking_prefixes: Sequence[int] = BLOCKING_PREFIXES,
     subsets: int = 1000,
-    workers: Optional[int] = None,
 ) -> ComparisonResult:
     """Head-to-head evaluation of rival fitted predictors.
 
@@ -299,7 +295,6 @@ def compare_predictors(
                 subsets,
                 rng,
                 prefixes,
-                workers=workers,
             )
         evaluations.append(
             evaluate_predictor(
@@ -311,7 +306,6 @@ def compare_predictors(
                 prefixes=prefixes,
                 blocking_prefixes=blocking_prefixes,
                 subsets=subsets,
-                workers=workers,
                 control_values=shared[size],
             )
         )

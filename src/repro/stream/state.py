@@ -7,9 +7,8 @@ pipeline would compute for the days ingested so far:
 * the rolling report sets (provided feeds merged as they arrive, scan
   detections unioned per day, spam flags recomputed from the running
   :class:`~repro.detect.spam.SpamAggregates`, folded one day at a time
-  with the same ``merge_all`` the chunked detector uses — spam is the
-  one *non-monotone* report: a source can unflag as its size variance
-  grows);
+  with ``SpamAggregates.merge_all`` — spam is the one *non-monotone*
+  report: a source can unflag as its size variance grows);
 * per-class :class:`BlockCounter` tables — exact integer address counts
   per scored block, incremented by fresh addresses and decremented when
   a spam source unflags, pruning blocks whose counts reach zero so the
@@ -22,9 +21,8 @@ pipeline would compute for the days ingested so far:
   interval indexes serving the low-latency query surface.
 
 Work per day is proportional to the day's flow volume and the score
-rebuild (``O(blocks)``), never to the accumulated window — that is the
-speedup :mod:`benchmarks.bench_stream` guards — while replaying a whole
-window reproduces the batch path bit for bit
+rebuild (``O(blocks)``), never to the accumulated window, while
+replaying a whole window reproduces the batch path bit for bit
 (``tests/test_stream_replay.py``).
 """
 

@@ -28,7 +28,7 @@ def test_acceptance_import_line():
 def test_top_level_reexports_facade_only():
     assert repro.run_scenario is run_scenario
     assert repro.evaluate is evaluate
-    assert repro.__version__ == "2.0.0"
+    assert repro.__version__ == "3.0.0"
     for name in repro.__all__:
         assert getattr(repro, name) is not None, name
 
@@ -102,12 +102,26 @@ def test_density_test_accepts_every_scenario_form(small_scenario):
 
 
 def test_rng_and_seed_are_mutually_exclusive(small_scenario):
+    from repro.api import fleet_density_test
+    from repro.fleet import (
+        FleetSupervisor,
+        heterogeneous_fleet,
+        synthetic_reports,
+    )
+
     run = run_scenario(small=True)
     with pytest.raises(ValueError, match="rng or seed"):
         evaluate(
             run, metric="density", train="bot",
             rng=np.random.default_rng(0), seed=1,
         )
+    fleet = FleetSupervisor(
+        heterogeneous_fleet(2, seed=7, small=True),
+        runner=synthetic_reports,
+        checkpoint=False,
+    ).run()
+    with pytest.raises(ValueError, match="rng or seed"):
+        fleet_density_test(fleet, rng=np.random.default_rng(0), seed=1)
 
 
 def test_prediction_test_facade(small_scenario):

@@ -22,7 +22,7 @@ class TestParser:
         assert args.workers is None
 
     def test_workers_flag(self):
-        args = build_parser().parse_args(["figure4", "--workers", "4"])
+        args = build_parser().parse_args(["fleet", "--workers", "4"])
         assert args.workers == 4
 
 
@@ -142,35 +142,6 @@ class TestCacheCommand:
         out = capsys.readouterr().out
         assert "cleared artifact cache (2 disk file(s) removed)" in out
         assert default_store().info()["disk_files"] == 0
-
-    def test_cache_info_reports_flow_chunks(self, private_store, capsys):
-        import numpy as np
-
-        from repro.engine import default_store
-        from repro.flows.chunked import ChunkedFlowLog
-        from repro.flows.log import FlowLog
-
-        n = 2000
-        rng = np.random.default_rng(5)
-        start = np.sort(rng.uniform(0.0, 86_400.0, n))
-        flows = FlowLog(
-            src_addr=rng.integers(0, 99, n, dtype=np.uint32),
-            dst_addr=rng.integers(0, 99, n, dtype=np.uint32),
-            src_port=np.full(n, 1024, dtype=np.uint16),
-            dst_port=np.full(n, 80, dtype=np.uint16),
-            protocol=np.full(n, 6, dtype=np.uint8),
-            packets=np.ones(n, dtype=np.uint32),
-            octets=np.full(n, 40, dtype=np.uint64),
-            tcp_flags=np.full(n, 2, dtype=np.uint8),
-            start_time=start,
-            end_time=start + 1.0,
-        )
-        chunked = ChunkedFlowLog.spill(
-            flows, "cli/w0", store=default_store(), max_flows=500
-        )
-        assert main(["cache", "info"]) == 0
-        out = capsys.readouterr().out
-        assert f"flow chunks:    {chunked.chunk_count} chunk(s)" in out
 
     def test_cache_unknown_action(self, private_store, capsys):
         assert main(["cache", "shrink"]) == 2

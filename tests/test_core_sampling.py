@@ -1,26 +1,16 @@
 """Unit tests for repro.core.sampling."""
 
-import multiprocessing
-import time
-from functools import partial
-
 import numpy as np
 import pytest
 
 from repro.core.report import Report
 from repro.core.sampling import (
-    MonteCarloFailure,
-    _mc_checkpoint_prefix,
-    _mc_spans,
     empirical_subsets,
     monte_carlo,
     naive_sample,
-    resolve_workers,
     trial_seed,
 )
-from repro.core.trials import _block_count_vector, _intersection_vector
-from repro.engine import faults
-from repro.core import cidr as rcidr
+from repro.core.trials import BlockCountStatistic, CoveredCountStatistic
 from repro.ipspace.addr import first_octet
 from repro.ipspace.iana import allocated_octets
 from repro.ipspace.reserved import reserved_mask
@@ -119,85 +109,57 @@ def wide_control():
     return Report.from_addresses("control", np.unique(addresses))
 
 
-class TestMonteCarloParallel:
-    """workers>1 must be bit-identical to serial (spawned seed streams)."""
-
-    def test_parallel_matches_serial_scalar(self, wide_control):
-        serial = monte_carlo(
-            wide_control, 50, 24, np.random.default_rng(7), len, workers=1
-        )
-        parallel = monte_carlo(
-            wide_control, 50, 24, np.random.default_rng(7), len, workers=4
-        )
-        assert np.array_equal(serial, parallel)
-
-    def test_parallel_matches_serial_density_statistic(self, wide_control):
-        """The Figure 2/3 block-count statistic across processes."""
-        statistic = partial(
-            _block_count_vector, prefixes=(16, 20, 24, 28, 32)
-        )
-        serial = monte_carlo(
-            wide_control, 80, 20, np.random.default_rng(11), statistic, workers=1
-        )
-        parallel = monte_carlo(
-            wide_control, 80, 20, np.random.default_rng(11), statistic, workers=4
-        )
-        assert serial.shape == (20, 5)
-        assert np.array_equal(serial, parallel)
-
-    def test_parallel_matches_serial_prediction_statistic(self, wide_control):
-        """The §5/Table 2 intersection statistic across processes."""
-        present = Report.from_addresses(
-            "present", wide_control.addresses[::3]
-        )
-        prefixes = (16, 20, 24)
-        statistic = partial(
-            _intersection_vector,
-            present_blocks=tuple(rcidr.cidr_set(present, n) for n in prefixes),
-            prefixes=prefixes,
-        )
-        serial = monte_carlo(
-            wide_control, 60, 20, np.random.default_rng(13), statistic, workers=1
-        )
-        parallel = monte_carlo(
-            wide_control, 60, 20, np.random.default_rng(13), statistic, workers=3
-        )
-        assert np.array_equal(serial, parallel)
-
-    def test_chunk_size_does_not_change_results(self, wide_control):
-        serial = monte_carlo(
-            wide_control, 40, 17, np.random.default_rng(3), len, workers=1
-        )
-        parallel = monte_carlo(
-            wide_control, 40, 17, np.random.default_rng(3), len,
-            workers=2, chunk_size=5,
-        )
-        assert np.array_equal(serial, parallel)
+def _store_traffic(store):
+    """Every lookup (hit or miss) and every write the store has served."""
+    return store.memory_hits + store.disk_hits + store.misses, store.puts
 
 
-class TestWorkerResolution:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers() == 1
+class TestMonteCarloIgnoresStore:
+    """A Monte-Carlo result depends on its inputs, never on the store."""
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers() == 3
-        assert resolve_workers(2) == 2  # explicit argument wins
+    @pytest.mark.parametrize(
+        "make_statistic",
+        [
+            lambda control: BlockCountStatistic((16, 24)),
+            lambda control: CoveredCountStatistic.for_report(
+                Report.from_addresses("target", control.addresses[::5]),
+                (16, 24),
+            ),
+        ],
+        ids=["block-counts", "covered-counts"],
+    )
+    def test_second_control_unaffected_by_first(
+        self, wide_control, tmp_path, monkeypatch, make_statistic
+    ):
+        from repro.engine.store import default_store, reset_default_store
 
-    def test_invalid_explicit_argument_raises(self):
-        with pytest.raises(ValueError):
-            resolve_workers(0)
-        with pytest.raises(ValueError):
-            resolve_workers(-2)
+        # Two equal-tag controls of equal size: only their content differs.
+        control_a = Report.from_addresses("control", wide_control.addresses[::2])
+        control_b = Report.from_addresses("control", wide_control.addresses[1::2])
+        statistic = make_statistic(wide_control)
 
-    @pytest.mark.parametrize("env", ["lots", "2.5", "0", "-3", " -1 "])
-    def test_malformed_env_clamps_to_serial(self, monkeypatch, env, caplog):
-        """A bad $REPRO_WORKERS warns and runs serial, never raises."""
-        monkeypatch.setenv("REPRO_WORKERS", env)
-        with caplog.at_level("WARNING", logger="repro.engine.sampling"):
-            assert resolve_workers() == 1
-        assert caplog.records, "expected a warning for a malformed value"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shared"))
+        reset_default_store()
+        try:
+            store = default_store()
+            before = _store_traffic(store)
+            values_a = monte_carlo(
+                control_a, 500, 8, np.random.default_rng(7), statistic
+            )
+            values_b = monte_carlo(
+                control_b, 500, 8, np.random.default_rng(7), statistic
+            )
+            assert _store_traffic(store) == before
+
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "fresh"))
+            reset_default_store()
+            fresh_b = monte_carlo(
+                control_b, 500, 8, np.random.default_rng(7), statistic
+            )
+        finally:
+            reset_default_store()
+        assert np.array_equal(values_b, fresh_b)
+        assert not np.array_equal(values_a, values_b)
 
 
 class TestSpawnedSeedSequences:
@@ -241,170 +203,3 @@ class TestSpawnedSeedSequences:
         for a, b in zip(first, again):
             assert np.array_equal(a, b)
         assert not np.array_equal(first[0], sibling[0])
-
-
-def _sleepy_len(report):
-    """Hangs only inside pool workers, so serial fallback stays fast."""
-    if multiprocessing.parent_process() is not None:
-        time.sleep(3.0)
-    return len(report)
-
-
-@pytest.fixture
-def fault_env(monkeypatch):
-    """Arm a REPRO_FAULTS spec for this test; always disarmed after."""
-
-    def arm(spec):
-        monkeypatch.setenv("REPRO_FAULTS", spec)
-        faults.reset()
-
-    yield arm
-    faults.reset()
-
-
-@pytest.fixture
-def isolated_default_store(tmp_path, monkeypatch):
-    from repro.engine.store import reset_default_store
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    reset_default_store()
-    yield
-    reset_default_store()
-
-
-class TestSupervisedMonteCarlo:
-    """The fault-tolerant parallel path: retries, fallback, checkpoints."""
-
-    def _baseline(self, wide_control, seed=7, size=30, count=18):
-        return monte_carlo(
-            wide_control, size, count, np.random.default_rng(seed), len, workers=1
-        )
-
-    def test_worker_crash_falls_back_to_serial_bit_identical(
-        self, wide_control, fault_env, isolated_default_store
-    ):
-        """A hard-killed worker breaks the pool; results are unchanged."""
-        baseline = self._baseline(wide_control)
-        arm = fault_env
-        arm("worker.crash:every=1")
-        survived = monte_carlo(
-            wide_control, 30, 18, np.random.default_rng(7), len, workers=2
-        )
-        assert np.array_equal(baseline, survived)
-
-    def test_failed_chunks_retried_on_fresh_workers(
-        self, wide_control, fault_env, isolated_default_store
-    ):
-        """Intermittent in-worker exceptions heal through chunk retries."""
-        baseline = self._baseline(wide_control)
-        fault_env("worker.fail:every=2,times=1")
-        survived = monte_carlo(
-            wide_control, 30, 18, np.random.default_rng(7), len, workers=2
-        )
-        assert np.array_equal(baseline, survived)
-
-    def test_timed_out_chunks_complete_serially(
-        self, wide_control, isolated_default_store
-    ):
-        """Workers hang, chunks time out, the serial fallback finishes."""
-        baseline = self._baseline(wide_control, seed=9, size=20, count=8)
-        survived = monte_carlo(
-            wide_control, 20, 8, np.random.default_rng(9), _sleepy_len,
-            workers=2, chunk_timeout=0.3, max_chunk_retries=0,
-        )
-        assert np.array_equal(baseline, survived)
-
-    def test_unrecoverable_failure_raises_typed_error(
-        self, wide_control, fault_env, isolated_default_store
-    ):
-        """A fault that also hits the serial fallback surfaces typed."""
-        fault_env("worker.fail:every=1")
-        with pytest.raises(MonteCarloFailure):
-            monte_carlo(
-                wide_control, 30, 18, np.random.default_rng(7), len,
-                workers=2, max_chunk_retries=0,
-            )
-
-    def test_completed_chunks_resume_from_checkpoints(
-        self, wide_control, isolated_default_store
-    ):
-        """Chunk artifacts planted under the run's key are not recomputed."""
-        from repro.engine.store import ArrayCodec, MISS, default_store
-
-        draw = np.random.default_rng(21)
-        root = np.random.SeedSequence(int.from_bytes(draw.bytes(16), "little"))
-        prefix = _mc_checkpoint_prefix(root.entropy, root.spawn_key, 10, 12, len)
-        spans = _mc_spans(12, workers=2, chunk_size=4)
-        assert spans == [(0, 4), (4, 8), (8, 12)]
-
-        store = default_store()
-        planted = np.full(4, 999.0)
-        store.put(f"{prefix}/chunk-0-4", planted, ArrayCodec())
-
-        out = monte_carlo(
-            wide_control, 10, 12, np.random.default_rng(21), len,
-            workers=2, chunk_size=4,
-        )
-        assert np.array_equal(out[:4], planted)  # resumed, not recomputed
-        assert (out[4:] == 10).all()
-        # Checkpoints are dropped once the evaluation completes.
-        assert store.get(f"{prefix}/chunk-0-4", ArrayCodec()) is MISS
-
-    def test_no_checkpoint_files_left_after_success(
-        self, wide_control, isolated_default_store, tmp_path
-    ):
-        monte_carlo(
-            wide_control, 20, 12, np.random.default_rng(3), len, workers=2
-        )
-        cache = tmp_path / "cache"
-        leftovers = [
-            p for p in cache.iterdir() if p.name.startswith("mc-")
-        ] if cache.is_dir() else []
-        assert leftovers == []
-
-    def test_checkpoint_disabled_still_supervises(
-        self, wide_control, fault_env, isolated_default_store
-    ):
-        baseline = self._baseline(wide_control)
-        fault_env("worker.crash:every=1")
-        survived = monte_carlo(
-            wide_control, 30, 18, np.random.default_rng(7), len,
-            workers=2, checkpoint=False,
-        )
-        assert np.array_equal(baseline, survived)
-
-    def test_statistic_tags_distinguish_partials(self):
-        from repro.core.sampling import _statistic_tag
-
-        a = partial(_block_count_vector, prefixes=(16, 24))
-        b = partial(_block_count_vector, prefixes=(16, 28))
-        assert _statistic_tag(a) != _statistic_tag(b)
-        assert _statistic_tag(a) == _statistic_tag(
-            partial(_block_count_vector, prefixes=(16, 24))
-        )
-
-    def test_statistic_tags_distinguish_sanitize_collisions(self):
-        """Names that sanitize identically must not share checkpoint keys."""
-        from repro.core.sampling import _statistic_tag
-
-        def first(report):
-            return 0
-
-        def second(report):
-            return 0
-
-        # Both sanitize to "f.x." — only the raw-name hash tells them apart.
-        first.__qualname__ = "f(x)"
-        second.__qualname__ = "f.x."
-        assert _statistic_tag(first) != _statistic_tag(second)
-        assert _statistic_tag(first).startswith("f.x.-")
-
-    def test_statistic_tags_use_label_when_present(self):
-        from repro.core.sampling import _statistic_tag
-        from repro.core.trials import BlockCountStatistic
-
-        tag = _statistic_tag(BlockCountStatistic((16, 24)))
-        assert tag.startswith("block-counts.16.24.")
-        # Deterministic across instances with equal parameters.
-        assert tag == _statistic_tag(BlockCountStatistic((16, 24)))
-        assert tag != _statistic_tag(BlockCountStatistic((16, 28)))

@@ -3,8 +3,8 @@
 The contract under test is *bit-identity*: a :class:`TrialEnsemble` row
 must equal the per-trial ``control.sample`` draw under the same spawned
 seed, batched statistics must reproduce the per-trial reference values
-exactly, and ``monte_carlo`` over a batched statistic must not depend on
-the worker count.
+exactly, and ``monte_carlo`` over a batched statistic must match the
+per-trial callable path.
 """
 
 import numpy as np
@@ -185,29 +185,6 @@ class TestMonteCarloBatched:
             statistic=lambda subset: _block_count_vector(subset, PREFIXES),
         )
         assert np.array_equal(batched, reference)
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_count_invariance(self, control, workers):
-        serial = monte_carlo(
-            control, 40, 15, np.random.default_rng(17),
-            statistic=BlockCountStatistic(PREFIXES), workers=1,
-        )
-        parallel = monte_carlo(
-            control, 40, 15, np.random.default_rng(17),
-            statistic=BlockCountStatistic(PREFIXES), workers=workers,
-        )
-        assert np.array_equal(serial, parallel)
-
-    def test_chunk_size_invariance(self, control):
-        one = monte_carlo(
-            control, 25, 13, np.random.default_rng(29),
-            statistic=BlockCountStatistic(PREFIXES), workers=2, chunk_size=4,
-        )
-        other = monte_carlo(
-            control, 25, 13, np.random.default_rng(29),
-            statistic=BlockCountStatistic(PREFIXES), workers=2, chunk_size=7,
-        )
-        assert np.array_equal(one, other)
 
     def test_prediction_statistic_end_to_end(self, control):
         present = Report.from_addresses("present", control.addresses[::4])

@@ -1,13 +1,13 @@
 """One property across detection modes.
 
-Every way the repo computes a detector verdict — batch ``detect``, the
-out-of-core ``detect_chunked`` fold, ``merge_all`` over an arbitrary
-split of the log, the stream's day fold, and the readable reference
-implementations — must agree bit for bit on the same flow log.  The
-logs span several days, cluster start times around hour and day
-boundaries (so positional cuts land mid-hour and mid-day), repeat
-sources, destinations and timestamps densely, and carry payload-bearing
-SMTP deliveries so the spam detector has something to flag.
+Every way the repo computes a detector verdict — batch ``detect``,
+``merge_all`` over a positional or an interleaved split of the log, the
+stream's day fold, and the readable reference implementations — must
+agree bit for bit on the same flow log.  The logs span several days,
+cluster start times around hour and day boundaries (so positional cuts
+land mid-hour and mid-day), repeat sources, destinations and timestamps
+densely, and carry payload-bearing SMTP deliveries so the spam detector
+has something to flag.
 """
 
 import dataclasses
@@ -90,7 +90,7 @@ def _log(sources, dsts, smtp, acked, start, octets, tcp):
 def cases(draw):
     flows = draw(flow_logs())
     n = len(flows)
-    # Positional cuts; repeats (and cuts at 0 or n) make empty chunks.
+    # Positional cuts; repeats (and cuts at 0 or n) make empty parts.
     cuts = sorted(
         draw(st.lists(st.integers(min_value=0, max_value=n), max_size=8))
     )
@@ -144,15 +144,21 @@ def _check_every_mode(flows, cuts, labels):
     interleaved = _interleaved(flows, labels)
     days = _days(flows)
 
-    # Scan: batch, chunked, interleaved merge, per-day union, reference.
+    # Scan: batch, contiguous and interleaved merges, per-day union,
+    # reference.
     scan = ScanDetector(SCAN)
     scanners = scan.detect(flows)
     assert scanners.dtype == np.uint32, "scan detect"
-    _assert_same(scan.detect_chunked(chunks), scanners, "scan chunked")
+    whole = ScanAggregates.from_flows(flows)
+    contiguous = ScanAggregates.merge_all(
+        ScanAggregates.from_flows(part) for part in chunks
+    )
+    _assert_same_aggregate(contiguous, whole)
+    _assert_same(contiguous.flagged(SCAN), scanners, "scan contiguous")
     merged = ScanAggregates.merge_all(
         ScanAggregates.from_flows(part) for part in interleaved
     )
-    _assert_same_aggregate(merged, ScanAggregates.from_flows(flows))
+    _assert_same_aggregate(merged, whole)
     _assert_same(merged.flagged(SCAN), scanners, "scan merge_all")
     per_day = np.asarray([], dtype=np.uint32)
     for day in days:
@@ -160,12 +166,16 @@ def _check_every_mode(flows, cuts, labels):
     _assert_same(per_day, scanners, "scan day fold")
     _assert_same(scan.detect_reference(flows), scanners, "scan reference")
 
-    # Spam: batch, chunked, interleaved merge, running day fold.
+    # Spam: batch, contiguous and interleaved merges, running day fold.
     spam = SpamDetector(SPAM)
     spammers = spam.detect(flows)
     assert spammers.dtype == np.uint32, "spam detect"
-    _assert_same(spam.detect_chunked(chunks), spammers, "spam chunked")
     whole = SpamAggregates.from_flows(flows)
+    contiguous = SpamAggregates.merge_all(
+        SpamAggregates.from_flows(part) for part in chunks
+    )
+    _assert_same_aggregate(contiguous, whole)
+    _assert_same(contiguous.flagged(SPAM), spammers, "spam contiguous")
     merged = SpamAggregates.merge_all(
         SpamAggregates.from_flows(part) for part in interleaved
     )
@@ -179,11 +189,10 @@ def _check_every_mode(flows, cuts, labels):
     _assert_same_aggregate(running, whole)
     _assert_same(running.flagged(SPAM), spammers, "spam day fold")
 
-    # TRW: batch, chunked, and the sequential reference walk.
+    # TRW: batch and the sequential reference walk.
     trw = TRWDetector()
     walkers = trw.detect(flows)
     assert walkers.dtype == np.uint32, "trw detect"
-    _assert_same(trw.detect_chunked(chunks), walkers, "trw chunked")
     reference = sorted(
         source
         for source, state in trw.walk_reference(flows).items()
@@ -215,7 +224,7 @@ def test_every_mode_agrees_on_a_flagging_log():
         octets=np.full(n, 600),
         tcp=np.ones(n, dtype=bool),
     )
-    cuts = [0, 5, 5, 11, 17]  # an empty chunk, cuts before and after midnight
+    cuts = [0, 5, 5, 11, 17]  # an empty part, cuts before and after midnight
     labels = np.arange(n) % 3
     scanners, spammers, walkers = _check_every_mode(flows, cuts, labels)
     assert scanners.tolist() == [1]

@@ -32,14 +32,14 @@ class TestSpecParsing:
         assert rule.every == 3
 
     def test_default_kind_per_site(self):
-        plan = FaultPlan.from_spec("worker.crash:every=5,times=2")
+        plan = FaultPlan.from_spec("shard.crash:every=5,times=2")
         (rule,) = plan.rules
         assert rule.kind == "crash"
         assert rule.every == 5 and rule.times == 2
 
     def test_multiple_rules(self):
         plan = FaultPlan.from_spec(
-            "store.read:oserror:every=2;worker.fail:after=1"
+            "store.read:oserror:every=2;shard.fail:after=1"
         )
         assert len(plan.rules) == 2
         assert plan.rules[1].kind == "fail" and plan.rules[1].after == 1
@@ -145,20 +145,20 @@ class TestActivation:
         assert faults.check("store.read") is None
 
     def test_env_activation(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_VAR, "worker.fail:every=1")
+        monkeypatch.setenv(faults.ENV_VAR, "shard.fail:every=1")
         faults.reset()
         with pytest.raises(InjectedFault):
-            faults.check("worker.fail")
+            faults.check("shard.fail")
 
     def test_context_manager_overrides_and_restores(self, monkeypatch):
         monkeypatch.delenv(faults.ENV_VAR, raising=False)
-        plan = FaultPlan([FaultRule("worker.fail", "fail", every=1)])
+        plan = FaultPlan([FaultRule("shard.fail", "fail", every=1)])
         with faults.injected(plan):
             assert faults.active_plan() is plan
             with pytest.raises(InjectedFault):
-                faults.check("worker.fail")
+                faults.check("shard.fail")
         assert faults.active_plan() is None
-        assert faults.check("worker.fail") is None
+        assert faults.check("shard.fail") is None
 
 
 class TestCheckBehaviour:
@@ -187,9 +187,9 @@ class TestCheckBehaviour:
             assert time.perf_counter() - started >= 0.04
 
     def test_crash_never_kills_the_main_process(self):
-        plan = FaultPlan([FaultRule("worker.crash", "crash", every=1)])
+        plan = FaultPlan([FaultRule("shard.crash", "crash", every=1)])
         with faults.injected(plan):
-            assert faults.check("worker.crash") is None  # still alive
+            assert faults.check("shard.crash") is None  # still alive
         assert plan.total_fired == 1  # the slot was consumed anyway
 
     def test_corrupt_rule_is_returned_to_the_caller(self):

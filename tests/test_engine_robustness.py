@@ -1,7 +1,7 @@
 """Fault-tolerance tests: hardened store, chaos schedules, crash safety.
 
 The acceptance property throughout: under injected IO faults, payload
-corruption and killed workers, every run either produces results
+corruption and killed processes, every run either produces results
 bit-identical to a fault-free baseline or raises a clean typed error —
 never silently wrong numbers, and never a store that fails to reopen.
 """
@@ -27,7 +27,7 @@ from repro.core.density import density_test
 from repro.core.report import Report
 from repro.core.sampling import monte_carlo
 from repro.engine import faults
-from repro.engine.faults import FaultPlan, FaultRule, InjectedFault
+from repro.engine.faults import FaultPlan, FaultRule
 from repro.engine.store import (
     MISS,
     ArrayCodec,
@@ -182,12 +182,10 @@ class TestRetriesAndDegradation:
             control = Report.from_addresses(
                 "control", [f"60.0.{j}.{k}" for j in range(8) for k in range(1, 60)]
             )
-            baseline = monte_carlo(
-                control, 20, 12, np.random.default_rng(3), len, workers=1
-            )
+            baseline = monte_carlo(control, 20, 12, np.random.default_rng(3), len)
             with faults.injected(plan):
                 survived = monte_carlo(
-                    control, 20, 12, np.random.default_rng(3), len, workers=2
+                    control, 20, 12, np.random.default_rng(3), len
                 )
             assert np.array_equal(baseline, survived)
         finally:
@@ -328,13 +326,12 @@ class TestCrashConsistency:
 _CONTROL = Report.from_addresses(
     "control", [f"60.{i}.{j}.{k}" for i in range(2) for j in range(6) for k in range(1, 40)]
 )
-_BASELINE = monte_carlo(_CONTROL, 12, 6, np.random.default_rng(77), len, workers=1)
+_BASELINE = monte_carlo(_CONTROL, 12, 6, np.random.default_rng(77), len)
 
 _SITE_KIND = {
     "store.read": "oserror",
     "store.write": "enospc",
     "store.corrupt": "corrupt",
-    "worker.fail": "fail",
 }
 
 _rule_strategy = st.builds(
@@ -360,19 +357,15 @@ class TestChaosProperty:
         """No FaultPlan can make the engine return wrong numbers."""
         plan = FaultPlan(rules, seed=seed)
         workdir = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
-        loaded = values = None
         try:
-            try:
-                with faults.injected(plan):
-                    writer = _store(workdir)
-                    writer.put("fp/reports", _reports(), ReportMappingCodec())
-                    reader = _store(workdir)
-                    loaded = reader.get("fp/reports", ReportMappingCodec())
-                    values = monte_carlo(
-                        _CONTROL, 12, 6, np.random.default_rng(77), len, workers=1
-                    )
-            except InjectedFault:
-                return  # a clean, typed failure is an allowed outcome
+            with faults.injected(plan):
+                writer = _store(workdir)
+                writer.put("fp/reports", _reports(), ReportMappingCodec())
+                reader = _store(workdir)
+                loaded = reader.get("fp/reports", ReportMappingCodec())
+                values = monte_carlo(
+                    _CONTROL, 12, 6, np.random.default_rng(77), len
+                )
             # The cache may miss, but it may never lie.
             assert loaded is MISS or loaded == _reports()
             assert np.array_equal(values, _BASELINE)

@@ -139,8 +139,8 @@ def test_warn_event_counts_and_logs(registry, caplog):
 
 
 def test_warn_event_routes_through_caller_logger(registry, caplog):
-    log = logging.getLogger("repro.engine.sampling")
-    with caplog.at_level(logging.WARNING, logger="repro.engine.sampling"):
-        metrics.warn_event("workers.clamped", "clamped to 4", logger=log)
-    assert caplog.records[0].name == "repro.engine.sampling"
-    assert registry.counter("events.warn.workers.clamped").value == 1
+    log = logging.getLogger("repro.engine.store")
+    with caplog.at_level(logging.WARNING, logger="repro.engine.store"):
+        metrics.warn_event("store.cache_dir_unusable", "memory-only", logger=log)
+    assert caplog.records[0].name == "repro.engine.store"
+    assert registry.counter("events.warn.store.cache_dir_unusable").value == 1

@@ -133,36 +133,6 @@ class TestComparison:
         assert row.blocking.table3() == standalone.blocking.table3()
         assert row.roc_auc() == standalone.roc_auc()
 
-    def test_workers_bit_identical(self, small_scenario, comparison):
-        models = [
-            make_predictor(name).fit(
-                {"bot-test": small_scenario.report("bot-test")}
-            )
-            for name in ("uncleanliness", "recommender", "graphcluster")
-        ]
-        parallel = compare_predictors(
-            models,
-            small_scenario.report("bot"),
-            small_scenario.report("control"),
-            _rng(small_scenario),
-            partition=small_scenario.partition,
-            subsets=SUBSETS,
-            workers=2,
-        )
-        for serial_row, parallel_row in zip(
-            comparison.evaluations, parallel.evaluations
-        ):
-            assert serial_row.prediction.observed == (
-                parallel_row.prediction.observed
-            )
-            assert serial_row.prediction.exceedance == (
-                parallel_row.prediction.exceedance
-            )
-            for n in serial_row.prediction.control:
-                assert serial_row.prediction.control[n] == (
-                    parallel_row.prediction.control[n]
-                )
-
     def test_models_genuinely_differ(self, comparison):
         prints = {ev.predictor_fingerprint for ev in comparison.evaluations}
         assert len(prints) == 3
