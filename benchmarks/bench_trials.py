@@ -5,11 +5,11 @@ Times the paper-scale Monte-Carlo evaluation (1000 equal-cardinality
 random control subsets, |R| ~ 6e5 control addresses, 17 prefix lengths)
 two ways for each statistic of the §4/§5 tests:
 
-* **per-trial**: the pre-batching reference — ``monte_carlo`` calling
-  ``statistic.per_trial`` on one subset ``Report`` at a time;
-* **batched**: the trial-matrix path — ``monte_carlo`` dispatching whole
-  :class:`~repro.core.trials.TrialEnsemble` chunks to
-  ``statistic.batch``.
+* **per-trial**: the reference — :func:`tests.oracles.run_trials`
+  evaluating the per-trial oracle statistic on one subset ``Report`` at
+  a time;
+* **batched**: ``monte_carlo`` handing the whole trial matrix to one
+  :mod:`repro.ipspace.kernels` call.
 
 Both paths draw identical per-trial RNG streams, so before timing, the
 script asserts the two produce bit-identical matrices on a sample.
@@ -18,11 +18,12 @@ Results (trials/sec and the batched-over-per-trial speedup) land in
 the speedup falls below the floor (10x at full scale, 3x at the small
 CI scale where fixed overheads dominate).
 
-Usage::
+Run it as a module from the repo root, so the oracles in ``tests/``
+import::
 
-    PYTHONPATH=src python benchmarks/bench_trials.py \
+    PYTHONPATH=src python -m benchmarks.bench_trials \
         --scale full --output BENCH_trials.json
-    PYTHONPATH=src python benchmarks/bench_trials.py --scale small --guard
+    PYTHONPATH=src python -m benchmarks.bench_trials --scale small --guard
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from repro.core import cidr as rcidr
 from repro.core.report import Report
 from repro.core.sampling import monte_carlo
-from repro.core.trials import BlockCountStatistic, IntersectionStatistic
+from repro.ipspace.kernels import block_counts_2d, intersection_counts_2d
 
 SCALES = {
     # control |R|, subset size, batched trials, per-trial reference trials
@@ -64,30 +65,36 @@ def build_reports(control_size: int) -> tuple:
     return control, present
 
 
-def time_monte_carlo(control, size, trials, statistic) -> float:
+def time_trials(run, control, size, trials, statistic) -> float:
+    """Seconds for ``run`` (``monte_carlo`` or ``run_trials``) to
+    evaluate ``trials`` subsets."""
     start = time.perf_counter()
-    monte_carlo(control, size, trials, np.random.default_rng(42), statistic)
+    run(control, size, trials, np.random.default_rng(42), statistic)
     return time.perf_counter() - start
 
 
-def bench_statistic(name, statistic, control, params) -> dict:
-    """Check bit-identity, then time both paths; returns one section."""
+def bench_statistic(name, kernel, per_trial, control, params, run_trials) -> dict:
+    """Check bit-identity, then time both paths; returns one section.
+
+    ``monte_carlo`` hands the trial matrix to ``kernel``; the reference
+    ``run_trials`` calls ``per_trial`` on one subset at a time.
+    """
     size, trials = params["size"], params["trials"]
     check = min(10, trials)
     batched_sample = monte_carlo(
-        control, size, check, np.random.default_rng(42), statistic
+        control, size, check, np.random.default_rng(42), kernel
     )
-    reference_sample = monte_carlo(
-        control, size, check, np.random.default_rng(42), statistic.per_trial
+    reference_sample = run_trials(
+        control, size, check, np.random.default_rng(42), per_trial
     )
     if not np.array_equal(batched_sample, reference_sample):
         raise AssertionError(f"{name}: batched path is not bit-identical")
 
     reference_trials = params["reference_trials"]
-    reference_s = time_monte_carlo(
-        control, size, reference_trials, statistic.per_trial
+    reference_s = time_trials(
+        run_trials, control, size, reference_trials, per_trial
     )
-    batched_s = time_monte_carlo(control, size, trials, statistic)
+    batched_s = time_trials(monte_carlo, control, size, trials, kernel)
 
     per_trial_rate = reference_trials / reference_s
     batched_rate = trials / batched_s
@@ -112,24 +119,29 @@ def main(argv=None) -> int:
                         help="exit non-zero when the speedup floor is broken")
     args = parser.parse_args(argv)
 
+    from tests.oracles import block_count_vector, intersection_vector, run_trials
+
     params = SCALES[args.scale]
     floor = SPEEDUP_FLOORS[args.scale]
     control, present = build_reports(params["control"])
+    present_blocks = tuple(rcidr.cidr_set(present, n) for n in PREFIXES)
 
     sections = {}
     sections["density_block_counts"] = bench_statistic(
-        "density_block_counts", BlockCountStatistic(PREFIXES), control, params
+        "density_block_counts",
+        lambda trials: block_counts_2d(trials, PREFIXES),
+        lambda subset: block_count_vector(subset, PREFIXES),
+        control,
+        params,
+        run_trials,
     )
     sections["prediction_intersections"] = bench_statistic(
         "prediction_intersections",
-        IntersectionStatistic(
-            prefixes=PREFIXES,
-            present_blocks=tuple(
-                rcidr.cidr_set(present, n) for n in PREFIXES
-            ),
-        ),
+        lambda trials: intersection_counts_2d(trials, present_blocks, PREFIXES),
+        lambda subset: intersection_vector(subset, present_blocks, PREFIXES),
         control,
         params,
+        run_trials,
     )
 
     snapshot = {

@@ -2,7 +2,8 @@
 """Record kernel throughput to ``BENCH_kernels.json`` (and guard it).
 
 Times the vectorized hot paths (traffic-stage cold build, TRW walk and
-detect, scan detect and its row-table reference, spam detect) directly
+detect, scan detect and its row-table reference
+:func:`tests.oracles.scan_detect_reference`, spam detect) directly
 — no artifact engine, so every build is genuinely cold — and writes
 flows/sec and events/sec to a JSON snapshot at the repo root.  At ``--scale full``
 the snapshot also embeds the PR-1 loop-based timings (measured on the
@@ -13,11 +14,12 @@ trajectory is auditable from the file alone.
 their floors (5x over the 5.06s loop baseline at full scale; 4x/1.2x
 over the row-table reference at full/small scale).
 
-Usage::
+Run it as a module from the repo root, so the oracle in ``tests/``
+imports::
 
-    PYTHONPATH=src python benchmarks/snapshot_kernels.py \
+    PYTHONPATH=src python -m benchmarks.snapshot_kernels \
         --scale full --output BENCH_kernels.json
-    PYTHONPATH=src python benchmarks/snapshot_kernels.py \
+    PYTHONPATH=src python -m benchmarks.snapshot_kernels \
         --scale small --guard
 """
 
@@ -74,6 +76,8 @@ def main(argv=None) -> int:
     parser.add_argument("--guard", action="store_true",
                         help="exit non-zero when a floor is broken")
     args = parser.parse_args(argv)
+
+    from tests.oracles import scan_detect_reference
 
     config = ScenarioConfig.small() if args.scale == "small" else ScenarioConfig()
     seeds = np.random.SeedSequence(config.seed).spawn(8)
@@ -132,10 +136,11 @@ def main(argv=None) -> int:
     }
 
     reference_seconds, reference_detected = best_of(
-        lambda: scan_detector.detect_reference(traffic.flows), args.repeats
+        lambda: scan_detect_reference(scan_detector.config, traffic.flows),
+        args.repeats,
     )
     if not np.array_equal(reference_detected, detected):
-        raise AssertionError("scan kernel diverges from detect_reference")
+        raise AssertionError("scan kernel diverges from scan_detect_reference")
     sections["scan_detect"]["reference_seconds"] = round(reference_seconds, 4)
     sections["scan_detect"]["speedup_vs_reference"] = round(
         reference_seconds / sections["scan_detect"]["seconds"], 2
@@ -190,7 +195,7 @@ def main(argv=None) -> int:
     if scan["speedup_vs_reference"] < reference_floor:
         failed.append(
             f"scan_detect: {scan['speedup_vs_reference']}x over "
-            f"detect_reference < required {reference_floor}x"
+            f"scan_detect_reference < required {reference_floor}x"
         )
     for message in failed:
         print(f"GUARD FAIL: {message}", file=sys.stderr)

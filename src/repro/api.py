@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Generic, List, Optional, Sequence, TypeVar, Union
+from typing import Generic, Iterator, List, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -87,7 +87,7 @@ from repro.scenarios import ScenarioPack, get_pack
 from repro.scenarios import list_packs as _registry_list_packs
 from repro.scenarios import pack_names
 from repro.sim.timeline import PAPER_WINDOWS
-from repro.stream import StreamConfig, UncleanlinessService, day_batches
+from repro.stream import DayBatch, StreamConfig, UncleanlinessService, day_batches
 from repro.stream.checkpoint import stream_fingerprint
 
 __all__ = [
@@ -105,6 +105,7 @@ __all__ = [
     "fleet_density_test",
     "fleet_prediction_test",
     "stream_service",
+    "pending_batches",
     "score",
     "is_blocked",
     "top_blocks",
@@ -829,26 +830,26 @@ def _stream_config_for(
     )
 
 
-def _warm_service(service: UncleanlinessService, sc: PaperScenario) -> int:
-    """Ingest every day the service has not seen yet; days folded.
+def pending_batches(
+    service: UncleanlinessService, scenario: ScenarioLike = None
+) -> Iterator[DayBatch]:
+    """The scenario's day-batches ``service`` has not ingested, oldest first.
 
-    A cold service gets the scenario's feeds with its first batch; one
-    resumed from a checkpoint already holds the merged feeds, so only
-    the remaining days' flows are replayed.
+    Nothing is pending once the service's cursor is at the head of its
+    window, and the scenario is then never built.  A cold service gets
+    the scenario's feeds with its first batch; one resumed from a
+    checkpoint already holds the merged feeds, so only the remaining
+    days' flows are replayed.
     """
-    window = service.config.window
-    if service.cursor >= window.end_day:
-        return 0
+    if service.cursor >= service.config.window.end_day:
+        return
+    sc = _resolve_scenario(scenario)
     provided = None
     if service.state.days_ingested == 0:
         provided = {tag: sc.report(tag) for tag in STREAM_FEED_TAGS}
-    folded = 0
-    for batch in day_batches(
+    yield from day_batches(
         sc.october_traffic, provided, from_day=service.cursor + 1
-    ):
-        service.ingest(batch)
-        folded += 1
-    return folded
+    )
 
 
 def stream_service(
@@ -885,7 +886,8 @@ def stream_service(
             )
             _SERVICES.put(service.fingerprint, service)
         if warm:
-            _warm_service(service, sc)
+            for batch in pending_batches(service, sc):
+                service.ingest(batch)
     return service
 
 

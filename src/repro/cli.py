@@ -457,7 +457,6 @@ def _run_compare(args: argparse.Namespace, extra: dict) -> int:
 def _run_ingest(args: argparse.Namespace) -> int:
     """Fold scenario day-batches into the streaming service."""
     from repro import api
-    from repro.stream import day_batches
 
     config = _scenario_config(args)
     service = api.stream_service(
@@ -468,14 +467,8 @@ def _run_ingest(args: argparse.Namespace) -> int:
         print(f"stream already at head (day {service.cursor}); "
               f"nothing to ingest")
         return 0
-    scenario = api.run_scenario(config).scenario
-    provided = None
-    if service.state.days_ingested == 0:
-        provided = {tag: scenario.report(tag) for tag in api.STREAM_FEED_TAGS}
     folded = 0
-    for batch in day_batches(
-        scenario.october_traffic, provided, from_day=service.cursor + 1
-    ):
+    for batch in api.pending_batches(service, api.run_scenario(config)):
         if args.days is not None and folded >= args.days:
             break
         delta = service.ingest(batch)

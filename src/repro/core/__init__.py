@@ -41,19 +41,7 @@ from repro.core.roc import ROCCurve, auc, partition_roc, roc_curve
 from repro.core.sampling import empirical_subsets, monte_carlo, naive_sample
 from repro.core.scenario import PaperScenario, ScenarioConfig
 from repro.core.stats import BoxplotSummary, exceedance_fraction, summarize
-from repro.core.tracking import (
-    ListCoverageStatistic,
-    TrackerConfig,
-    UncleanlinessTracker,
-)
-from repro.core.trials import (
-    BlockCountStatistic,
-    CoveredCountStatistic,
-    IntersectionStatistic,
-    TrialEnsemble,
-    TrialStatistic,
-    is_batched,
-)
+from repro.core.tracking import TrackerConfig, UncleanlinessTracker
 from repro.core.uncleanliness import (
     BlockScores,
     UncleanlinessScorer,
@@ -72,11 +60,9 @@ __all__ = [
     "intersection_counts",
     "members_of",
     "DensityResult",
-    "BlockCountStatistic",
     "density_curve",
     "density_test",
     "PredictionResult",
-    "IntersectionStatistic",
     "prediction_test",
     "prediction_test_blocks",
     "control_intersection_distribution",
@@ -85,7 +71,6 @@ __all__ = [
     "BlockingRow",
     "BlockingResult",
     "CandidatePartition",
-    "CoveredCountStatistic",
     "partition_candidates",
     "blocking_test",
     "blocking_test_blocks",
@@ -96,9 +81,6 @@ __all__ = [
     "naive_sample",
     "empirical_subsets",
     "monte_carlo",
-    "TrialEnsemble",
-    "TrialStatistic",
-    "is_batched",
     "BoxplotSummary",
     "summarize",
     "exceedance_fraction",
@@ -112,5 +94,4 @@ __all__ = [
     "partition_roc",
     "TrackerConfig",
     "UncleanlinessTracker",
-    "ListCoverageStatistic",
 ]

@@ -35,11 +35,10 @@ import numpy as np
 from repro.core import cidr as rcidr
 from repro.core.report import DataClass, Report, ReportType
 from repro.core.stats import BoxplotSummary, summarize
-from repro.core.trials import CoveredCountStatistic
 from repro.flows.log import FlowLog
 from repro.flows.record import Protocol
 from repro.ipspace import cidr as _lowcidr
-from repro.ipspace.kernels import member_counts_2d
+from repro.ipspace.kernels import intersection_counts_2d, member_counts_2d
 
 __all__ = [
     "BLOCKING_PREFIXES",
@@ -310,14 +309,29 @@ def monte_carlo_covered_counts(
     rng: np.random.Generator,
     prefixes: Sequence[int],
 ) -> np.ndarray:
-    """Monte-Carlo matrix of covered-address counts (one helper so the
-    two §6 null distributions share code with any future targets)."""
+    """Monte-Carlo matrix of covered-address counts: per subset and
+    prefix, how many of ``target``'s addresses the subset's blocks catch.
+
+    The target is pre-aggregated into per-prefix ``(blocks,
+    multiplicities)``, so one weighted :func:`intersection_counts_2d`
+    call counts every subset and prefix.
+    """
     from repro.core.sampling import monte_carlo
 
+    prefixes = tuple(prefixes)
+    blocks, weights = [], []
+    for n in prefixes:
+        uniques, counts = np.unique(
+            _lowcidr.mask_array(target.addresses, n), return_counts=True
+        )
+        blocks.append(uniques)
+        weights.append(counts.astype(np.int64))
     return monte_carlo(
         control,
         size,
         subsets,
         rng,
-        statistic=CoveredCountStatistic.for_report(target, prefixes),
+        statistic=lambda trials: intersection_counts_2d(
+            trials, blocks, prefixes, weights_by_prefix=weights
+        ),
     )

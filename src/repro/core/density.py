@@ -23,7 +23,6 @@ from repro.core import cidr as rcidr
 from repro.core.report import Report
 from repro.core.sampling import monte_carlo, naive_sample
 from repro.core.stats import BoxplotSummary, summarize
-from repro.core.trials import BlockCountStatistic
 from repro.ipspace.kernels import block_counts_2d
 
 __all__ = [
@@ -117,10 +116,8 @@ def control_density_distribution(
 ) -> Dict[int, np.ndarray]:
     """Monte-Carlo block-count distributions over random control subsets.
 
-    Returns ``{n: array of |C_n(subset)| over all subsets}``.  Runs on
-    the batched trial-matrix path; values are bit-identical to the
-    per-trial reference (:func:`repro.core.trials._block_count_vector`
-    under :func:`~repro.core.sampling.monte_carlo`).
+    Returns ``{n: array of |C_n(subset)| over all subsets}``, every
+    subset and prefix counted by one :func:`block_counts_2d` call.
     """
     prefixes = tuple(prefixes)
     matrix = monte_carlo(
@@ -128,7 +125,7 @@ def control_density_distribution(
         size,
         subsets,
         rng,
-        statistic=BlockCountStatistic(prefixes),
+        statistic=lambda trials: block_counts_2d(trials, prefixes),
     )
     return {n: matrix[:, column] for column, n in enumerate(prefixes)}
 

@@ -23,7 +23,7 @@ from repro.core import cidr as rcidr
 from repro.core.report import Report
 from repro.core.sampling import monte_carlo
 from repro.core.stats import BoxplotSummary, exceedance_fraction, summarize
-from repro.core.trials import IntersectionStatistic
+from repro.ipspace.kernels import intersection_counts_2d
 
 __all__ = [
     "BETTER_PREDICTOR_LEVEL",
@@ -117,8 +117,8 @@ def control_intersection_distribution(
     distribution, which is what lets one Monte-Carlo run serve every
     rival model in a head-to-head comparison (the distribution depends
     only on the present blocks, the control report and the cardinality
-    budget — never on the predictor).  Runs on the batched trial-matrix
-    path; values are bit-identical to the per-trial reference.
+    budget — never on the predictor).  Every subset and prefix is
+    counted by one :func:`intersection_counts_2d` call.
     """
     prefixes = tuple(prefixes)
     if len(present_blocks) != len(prefixes):
@@ -134,8 +134,8 @@ def control_intersection_distribution(
         size,
         subsets,
         rng,
-        statistic=IntersectionStatistic(
-            prefixes=prefixes, present_blocks=tuple(present_blocks)
+        statistic=lambda trials: intersection_counts_2d(
+            trials, present_blocks, prefixes
         ),
     )
     return {n: matrix[:, column] for column, n in enumerate(prefixes)}

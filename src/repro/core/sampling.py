@@ -1,4 +1,4 @@
-"""Control-population samplers for the uncleanliness tests.
+"""Control-population samplers and the Monte Carlo of the uncleanliness tests.
 
 The paper compares unclean reports against two control models (§4.2):
 
@@ -13,30 +13,28 @@ Figure 2 shows the naive estimate badly over-disperses, so the paper (and
 this library) uses the empirical estimate everywhere else.
 
 :func:`monte_carlo` — the 1000-random-subset evaluation behind the
-spatial (§4) and temporal (§5) tests — runs in-process.  Each trial
-draws its subset from its own child of one ``np.random.SeedSequence``
-(``root.spawn(count)``), so the result array is a deterministic
-function of the caller's rng state.
+spatial (§4), temporal (§5) and blocking (§6) tests — draws every trial
+into one row-sorted ``(count, size)`` ``uint32`` matrix
+(:func:`draw_trials`) and hands it to a statistic, which is one call
+into :mod:`repro.ipspace.kernels`: every trial and every prefix length
+in a few full-matrix numpy passes.
 
-Statistics come in two shapes.  A plain callable (``Report -> value``)
-is the retained per-trial reference path: one ``Report`` per trial, one
-call per trial.  A :class:`~repro.core.trials.TrialStatistic` — an
-object with ``batch``/``per_trial`` — takes the trial-matrix path: the
-trials are drawn as one :class:`~repro.core.trials.TrialEnsemble` and
-evaluated in a few numpy passes (:mod:`repro.ipspace.kernels`).
-Because ensemble rows are the sorted per-trial draws from the same
-spawned streams, both paths return bit-identical arrays; the batched
-one is ~20-30x faster at paper scale.
+Determinism contract: one 16-byte draw from the caller's rng roots a
+``np.random.SeedSequence``, and trial ``i`` draws from its ``i``-th
+spawned child (``root.spawn(count)[i]``) with the single
+``Generator.choice(addresses, size, replace=False)`` call that
+:meth:`~repro.core.report.Report.sample` makes.  Row ``i`` is therefore
+the sorted ``control.sample(size, rng_i)``, and the result array is a
+deterministic function of the caller's rng state.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
 from repro.core.report import DataClass, Report, ReportType
-from repro.core.trials import TrialEnsemble, is_batched, trial_seed
 from repro.ipspace.iana import allocated_octets
 from repro.ipspace.reserved import reserved_mask
 from repro.obs import metrics as obs_metrics
@@ -48,7 +46,7 @@ __all__ = [
     "monte_carlo",
     "monte_carlo_rng",
     "trial_seed",
-    "TrialEnsemble",
+    "draw_trials",
 ]
 
 
@@ -109,22 +107,47 @@ def empirical_subsets(
         yield control.sample(size, rng, tag=f"{control.tag}[{index}]")
 
 
-def _run_trials(
+def trial_seed(
+    entropy: int, spawn_key: Tuple[int, ...], index: int
+) -> np.random.SeedSequence:
+    """Child ``index`` of the root sequence, built without materialising
+    every sibling.
+
+    ``SeedSequence(entropy, spawn_key=parent_key + (i,))`` is exactly the
+    ``i``-th element of ``parent.spawn(n)`` — this is how each trial
+    derives its stream independently of the others.
+    """
+    return np.random.SeedSequence(
+        entropy=entropy, spawn_key=tuple(spawn_key) + (index,)
+    )
+
+
+def draw_trials(
     control: Report,
     size: int,
     count: int,
     entropy: int,
     spawn_key: Tuple[int, ...],
-    statistic: Callable[[Report], object],
-) -> List[object]:
-    """Per-trial reference: evaluate each trial on its own ``Report``
-    (one spawned stream per trial)."""
-    values = []
+) -> np.ndarray:
+    """The trial matrix of the Monte Carlo rooted at ``(entropy, spawn_key)``.
+
+    Row ``i`` is trial ``i``'s control subset, ``control.sample(size,
+    rng_i)`` on the stream of spawned child ``i``, sorted ascending as
+    the kernels require.  The ``(count, size)`` ``uint32`` matrix is
+    read-only.
+    """
+    if size > len(control):
+        raise ValueError(
+            f"cannot sample {size} addresses from report of {len(control)}"
+        )
+    matrix = np.empty((count, size), dtype=np.uint32)
+    addresses = control.addresses
     for index in range(count):
         rng = np.random.default_rng(trial_seed(entropy, spawn_key, index))
-        subset = control.sample(size, rng, tag=f"{control.tag}[{index}]")
-        values.append(statistic(subset))
-    return values
+        matrix[index] = rng.choice(addresses, size=size, replace=False)
+    matrix.sort(axis=1)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def monte_carlo(
@@ -132,15 +155,18 @@ def monte_carlo(
     size: int,
     count: int,
     rng: np.random.Generator,
-    statistic: Callable[[Report], object],
+    statistic: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Evaluate ``statistic`` over ``count`` random control subsets.
 
-    ``statistic`` may return a scalar (result shape ``(count,)``) or a
-    fixed-length sequence (result shape ``(count, k)``); callers
-    summarise the array with :func:`repro.core.stats.summarize` or
-    compare an observed value via
-    :func:`repro.core.stats.exceedance_fraction`.
+    ``statistic`` maps the :func:`draw_trials` matrix to one row per
+    trial, for example ``lambda trials: block_counts_2d(trials,
+    prefixes)``.  The result is that array as ``float``, of shape
+    ``(count,)`` or ``(count, k)``; callers summarise it with
+    :func:`repro.core.stats.summarize` or compare an observed value via
+    :func:`repro.core.stats.exceedance_fraction`.  A statistic that
+    returns anything but ``count`` rows — a per-trial ``Report -> value``
+    callable, say — raises ``ValueError``.
 
     One 16-byte draw from ``rng`` roots a ``SeedSequence``, and trial
     ``i`` samples from its ``i``-th spawned child, so the same rng state
@@ -151,18 +177,14 @@ def monte_carlo(
     root = np.random.SeedSequence(int.from_bytes(rng.bytes(16), "little"))
     entropy, spawn_key = root.entropy, root.spawn_key
 
-    batched = is_batched(statistic)
     obs_metrics.inc("mc.trials", count)
     obs_metrics.inc("mc.streams", count)  # one spawned rng stream per trial
-    if batched:
-        obs_metrics.inc("mc.batched_trials", count)
-    with obs_trace.span(
-        "monte_carlo", trials=count, batched=batched, entropy=f"{entropy:032x}"
-    ):
-        if batched:
-            ensemble = TrialEnsemble.draw(control, size, count, entropy, spawn_key)
-            return np.asarray(statistic.batch(ensemble), dtype=float)
-        return np.asarray(
-            _run_trials(control, size, count, entropy, spawn_key, statistic),
-            dtype=float,
+    with obs_trace.span("monte_carlo", trials=count, entropy=f"{entropy:032x}"):
+        trials = draw_trials(control, size, count, entropy, spawn_key)
+        values = np.asarray(statistic(trials), dtype=float)
+    if values.ndim == 0 or values.shape[0] != count:
+        raise ValueError(
+            f"statistic returned shape {values.shape} for {count} trials: "
+            "it must map the trial matrix to one row per trial"
         )
+    return values

@@ -11,47 +11,18 @@ scorer (§7 metric) and TTL blocklist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.core.blocklist import Blocklist
 from repro.core.report import Report
 from repro.core.stats import exceedance_fraction, summarize
-from repro.core.trials import TrialEnsemble
 from repro.core.uncleanliness import UncleanlinessScorer
 from repro.ipspace.kernels import member_counts_2d
 
-__all__ = ["TrackerConfig", "UncleanlinessTracker", "ListCoverageStatistic"]
-
-
-@dataclass(frozen=True, eq=False)
-class ListCoverageStatistic:
-    """How many of a trial subset's addresses an active blocklist covers.
-
-    A :class:`~repro.core.trials.TrialStatistic` over the tracker's
-    active networks: the Monte-Carlo null for
-    :meth:`UncleanlinessTracker.evaluate` — the coverage the list would
-    achieve against *random* equal-cardinality addresses rather than the
-    period's hostile population.
-    """
-
-    prefix_len: int
-    networks: np.ndarray  # sorted active /n networks on the evaluation day
-
-    def batch(self, ensemble: TrialEnsemble) -> np.ndarray:
-        return member_counts_2d(
-            ensemble.matrix, (self.networks,), (self.prefix_len,)
-        )
-
-    def per_trial(self, subset: Report) -> Tuple[int]:
-        from repro.ipspace import cidr as _lowcidr
-
-        covered = _lowcidr.contains(
-            subset.addresses, self.networks, self.prefix_len
-        )
-        return (int(covered.sum()),)
+__all__ = ["TrackerConfig", "UncleanlinessTracker"]
 
 
 @dataclass(frozen=True)
@@ -155,7 +126,8 @@ class UncleanlinessTracker:
         BoxplotSummary` of per-subset coverage fractions) and
         ``coverage_exceedance`` (the fraction of control subsets the
         hostile coverage beats — the tracker is doing real work when
-        this is near 1).
+        this is near 1).  The exceedance compares exact covered-address
+        counts; only the reported fractions are rounded.
         """
         result = {
             "day": day,
@@ -172,10 +144,12 @@ class UncleanlinessTracker:
             matrix = self.control_coverage_matrix(
                 day, len(hostile), control, rng, subsets=subsets
             )
-            fractions = matrix[:, 0] / max(len(hostile), 1)
-            result["control_coverage"] = summarize(fractions)
+            covered = int(self.blocklist.blocked_mask(hostile.addresses, day).sum())
+            result["control_coverage"] = summarize(
+                matrix[:, 0] / max(len(hostile), 1)
+            )
             result["coverage_exceedance"] = round(
-                exceedance_fraction(result["hostile_coverage"], fractions), 4
+                exceedance_fraction(covered, matrix[:, 0]), 4
             )
         return result
 
@@ -189,17 +163,25 @@ class UncleanlinessTracker:
     ) -> np.ndarray:
         """Monte-Carlo matrix of covered-address counts for the active list.
 
-        One column (the list's single prefix length); ``subsets`` rows.
-        Runs on the batched trial-matrix path via
-        :class:`ListCoverageStatistic`.
+        One column (the list's single prefix length) and ``subsets``
+        rows: how many of each random control subset's addresses the
+        list in force on ``day`` blocks, all counted by one
+        :func:`member_counts_2d` call.  This is the null for
+        :meth:`evaluate`, the coverage the list would achieve against
+        random equal-cardinality addresses rather than the period's
+        hostile population.
         """
         from repro.core.sampling import monte_carlo
 
-        statistic = ListCoverageStatistic(
-            prefix_len=self.config.prefix_len,
-            networks=self.blocklist.active_networks(day),
+        networks = (self.blocklist.active_networks(day),)
+        prefixes = (self.config.prefix_len,)
+        return monte_carlo(
+            control,
+            size,
+            subsets,
+            rng,
+            statistic=lambda trials: member_counts_2d(trials, networks, prefixes),
         )
-        return monte_carlo(control, size, subsets, rng, statistic=statistic)
 
     def series(self) -> List[dict]:
         """All update snapshots, oldest first."""

@@ -24,9 +24,6 @@ log; and :meth:`~ScanAggregates.flagged` applies the thresholds.  Every
 column is an exact integer and triple dedup commutes with set union, so
 :meth:`ScanDetector.detect` (one aggregate) and the merge of any split
 of the window reach the same verdict by construction.
-:meth:`ScanDetector.detect_reference` retains the original row-table
-formulation as the semantic reference the property tests pin the
-aggregate to.
 """
 
 from __future__ import annotations
@@ -208,44 +205,3 @@ class ScanDetector:
         """Sorted unique source addresses flagged as scanners."""
         with obs.instrument("detect.scan", events=len(flows)):
             return ScanAggregates.from_flows(flows).flagged(self.config)
-
-    # -- row-table reference ----------------------------------------------
-
-    def detect_reference(self, flows: FlowLog) -> np.ndarray:
-        """The original ``np.unique(axis=0)`` row-table formulation.
-
-        Semantically identical to :meth:`detect` (the property tests pin
-        the aggregate to it) but interpreter- and sort-bound: three
-        row-table unique passes over stacked int64 triples.  Kept as the
-        readable specification; not for large logs.
-
-        ``pairs`` and ``all_pairs`` below are the same table by
-        construction — every raw pair owns at least one deduped triple
-        and ``np.unique`` sorts rows lexicographically both times.
-        """
-        tcp = flows.select(flows.protocol == Protocol.TCP)
-        if len(tcp) == 0:
-            return np.asarray([], dtype=np.uint32)
-
-        hours = (tcp.start_time // _HOUR_SECONDS).astype(np.int64)
-        no_ack = (tcp.tcp_flags & TCPFlags.ACK) == 0
-
-        triples = np.stack(
-            [tcp.src_addr.astype(np.int64), hours, tcp.dst_addr.astype(np.int64)],
-            axis=1,
-        )
-        unique_triples = np.unique(triples, axis=0)
-        pairs, target_counts = np.unique(
-            unique_triples[:, :2], axis=0, return_counts=True
-        )
-
-        raw_pairs = np.stack([tcp.src_addr.astype(np.int64), hours], axis=1)
-        all_pairs, inverse = np.unique(raw_pairs, axis=0, return_inverse=True)
-        flow_totals = np.bincount(inverse, minlength=all_pairs.shape[0])
-        failed_totals = np.bincount(inverse[no_ack], minlength=all_pairs.shape[0])
-        failed_fraction = failed_totals / np.maximum(flow_totals, 1)
-
-        flagged = (target_counts >= self.config.min_targets) & (
-            failed_fraction >= self.config.min_failed_fraction
-        )
-        return np.unique(pairs[flagged, 0]).astype(np.uint32)

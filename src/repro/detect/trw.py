@@ -29,16 +29,14 @@ array kernel: first contacts are deduplicated with ``np.unique``,
 outcomes are sorted by (source, time), each source's log-likelihood
 trajectory is a grouped cumulative sum, and the verdict is read off at
 the segment's first threshold crossing — exactly where the sequential
-walk would have frozen it.  :meth:`TRWDetector.walk_reference` retains
-the straightforward per-outcome loop as the semantic reference; the
-property tests assert the two agree.
+walk would have frozen it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -119,7 +117,7 @@ class TRWDetector:
         Only the first flow to each (source, destination) pair counts —
         TRW is defined over first-contact connection attempts.  Returns
         ``(sources, successes)`` ordered by start time (ties broken by
-        log position, matching the sequential reference).
+        log position, the order the sequential walk consumes them in).
         """
         tcp = flows.protocol == Protocol.TCP
         start_time = flows.start_time[tcp]
@@ -150,7 +148,7 @@ class TRWDetector:
         grouped cumulative count of failures (an integer kernel) scaled
         by the two step sizes; the verdict and state are read off at the
         first threshold crossing, so everything after a source's crossing
-        is ignored — the walk-freezing semantics of the loop.
+        is ignored — the walk-freezing semantics of the sequential test.
         """
         contact_src, contact_success = self._first_contacts(flows)
         cfg = self.config
@@ -207,47 +205,3 @@ class TRWDetector:
         with obs.instrument("detect.trw", events=len(flows)):
             sources, _, _, verdict_code = self._walk_kernel(flows)
             return sources[verdict_code == 1].astype(np.uint32)
-
-    # -- sequential reference ---------------------------------------------
-
-    def _outcomes(self, flows: FlowLog) -> Iterable[Tuple[int, bool]]:
-        """Yield (source, success) first-contact outcomes in time order
-        (the per-flow loop the kernel replaces; kept for verification)."""
-        tcp = flows.select(flows.protocol == Protocol.TCP)
-        order = np.argsort(tcp.start_time, kind="stable")
-        seen: set = set()
-        src = tcp.src_addr
-        dst = tcp.dst_addr
-        acked = (tcp.tcp_flags & TCPFlags.ACK) != 0
-        for i in order:
-            key = (int(src[i]), int(dst[i]))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield int(src[i]), bool(acked[i])
-
-    def walk_reference(self, flows: FlowLog) -> Dict[int, TRWState]:
-        """The original per-outcome sequential walk.
-
-        This is the semantic specification the vectorized
-        :meth:`walk` must match (the property tests compare them); it is
-        interpreter-bound and should not be used on large logs.
-        """
-        cfg = self.config
-        upper = math.log(cfg.upper_threshold)
-        lower = math.log(cfg.lower_threshold)
-        success_step = cfg.success_step
-        failure_step = cfg.failure_step
-
-        states: Dict[int, TRWState] = {}
-        for source, success in self._outcomes(flows):
-            state = states.setdefault(source, TRWState())
-            if state.verdict != "pending":
-                continue
-            state.log_ratio += success_step if success else failure_step
-            state.outcomes += 1
-            if state.log_ratio >= upper:
-                state.verdict = "scanner"
-            elif state.log_ratio <= lower:
-                state.verdict = "benign"
-        return states

@@ -31,7 +31,6 @@ from repro.ipspace.kernels import (
     block_counts_2d,
     intersection_counts_2d,
     member_counts_2d,
-    sorted_rows,
 )
 from repro.ipspace.iana import Status, allocated_octets, is_allocated
 from repro.ipspace.structure import StructureProfile, profile_addresses
@@ -58,7 +57,6 @@ __all__ = [
     "unique_blocks",
     "block_count",
     "contains",
-    "sorted_rows",
     "block_counts_2d",
     "intersection_counts_2d",
     "member_counts_2d",

@@ -35,14 +35,11 @@ from repro.ipspace.cidr import mask_array
 from repro.obs import metrics as obs_metrics
 
 __all__ = [
-    "sorted_rows",
     "block_counts_2d",
     "intersection_counts_2d",
     "member_counts_2d",
-    "merge_sorted",
     "merge_unique",
     "remove_sorted",
-    "merge_sorted_rows",
 ]
 
 #: Rows per pass: keeps every temporary at ``ROW_CHUNK x cardinality``
@@ -51,13 +48,6 @@ ROW_CHUNK = 64
 #: Prefix-interval endpoints 0..33: a cell counts at the prefix lengths
 #: ``start <= n < end``, and 33 means "past /32".
 _BINS = 34
-
-
-def sorted_rows(matrix: np.ndarray) -> np.ndarray:
-    """A row-sorted ``uint32`` copy of ``matrix`` (kernel precondition)."""
-    rows = np.array(matrix, dtype=np.uint32, copy=True, ndmin=2)
-    rows.sort(axis=1)
-    return rows
 
 
 def _check_matrix(rows: np.ndarray) -> np.ndarray:
@@ -291,29 +281,12 @@ def member_counts_2d(
     return out
 
 
-# -- sorted-merge incremental kernels ---------------------------------------
+# -- sorted-set deltas for the streaming fold --------------------------------
 #
-# The streaming layer never re-sorts: a day-batch arrives sorted, the
-# rolling state is sorted, and a two-searchsorted merge places both in
-# O((n+m) log) vectorised work.  A merged row is sorted at /32, so it
-# meets the count kernels' row-sorted precondition without a re-sort.
-
-
-def merge_sorted(existing: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Merge two sorted 1-D arrays (duplicates kept), without re-sorting.
-
-    Classic merge-path scatter: each element's output position is its
-    own index plus the count of the *other* array's elements before it
-    (ties broken existing-first, so the merge is stable).
-    """
-    existing = np.asarray(existing)
-    batch = np.asarray(batch, dtype=existing.dtype)
-    out = np.empty(existing.size + batch.size, dtype=existing.dtype)
-    out[np.searchsorted(batch, existing, side="left")
-        + np.arange(existing.size)] = existing
-    out[np.searchsorted(existing, batch, side="right")
-        + np.arange(batch.size)] = batch
-    return out
+# The stream folds each day into sorted-unique rolling state without a
+# re-sort: one searchsorted of the sorted day-batch against the state
+# finds which elements are new (merge_unique) or present (remove_sorted)
+# and where they sit.
 
 
 def merge_unique(
@@ -352,50 +325,3 @@ def remove_sorted(existing: np.ndarray, victims: np.ndarray) -> np.ndarray:
     if not present.any():
         return existing
     return np.delete(existing, idx[present])
-
-
-def _rowwise_searchsorted(
-    rows: np.ndarray, values: np.ndarray, side: str = "left"
-) -> np.ndarray:
-    """Per-row ``searchsorted``: positions of ``values[t]`` in ``rows[t]``.
-
-    One flat searchsorted serves every row: promoting both operands to
-    ``int64`` and adding ``row_index * 2**32`` makes rows disjoint
-    key ranges, so a single sorted lookup resolves all trials at once.
-    """
-    trials, width = rows.shape
-    offset = np.arange(trials, dtype=np.int64)[:, None] << np.int64(32)
-    flat_rows = (rows.astype(np.int64) + offset).ravel()
-    flat_values = (values.astype(np.int64) + offset).ravel()
-    idx = np.searchsorted(flat_rows, flat_values, side=side)
-    return idx.reshape(values.shape) - np.arange(trials)[:, None] * width
-
-
-def merge_sorted_rows(rows: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Row-wise sorted merge: ``(T, k)`` + ``(T, j)`` → sorted ``(T, k+j)``.
-
-    Both inputs must be row-sorted ``uint32``; the result is each row's
-    sorted merge, computed with two rank-scatter passes instead of an
-    ``O((k+j) log(k+j))`` re-sort per row — the incremental path a
-    day-batch of new trial columns takes into an existing ensemble.
-    """
-    rows = _check_matrix(rows)
-    batch = _check_matrix(batch)
-    if rows.shape[0] != batch.shape[0]:
-        raise ValueError(
-            f"row-count mismatch: {rows.shape[0]} != {batch.shape[0]}"
-        )
-    trials, width = rows.shape
-    out = np.empty((trials, width + batch.shape[1]), dtype=np.uint32)
-    if out.size == 0:
-        return out
-    obs_metrics.inc("kernels.merge_sorted_rows.trials", trials)
-    row_index = np.arange(trials)[:, None]
-    pos_rows = _rowwise_searchsorted(batch, rows, side="left") + np.arange(width)
-    pos_batch = (
-        _rowwise_searchsorted(rows, batch, side="right")
-        + np.arange(batch.shape[1])
-    )
-    out[row_index, pos_rows] = rows
-    out[row_index, pos_batch] = batch
-    return out

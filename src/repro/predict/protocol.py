@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -39,15 +39,6 @@ from repro.engine.fingerprint import fingerprint as _fingerprint
 from repro.ipspace.addr import AddressLike
 from repro.ipspace.cidr import CIDRBlock, mask_address
 from repro.sim.timeline import Window, day_to_date
-
-try:  # Protocol is typing-only; runtime dispatch uses the base class.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - python < 3.8
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
 
 __all__ = [
     "PREDICT_VERSION",

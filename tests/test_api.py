@@ -28,7 +28,7 @@ def test_acceptance_import_line():
 def test_top_level_reexports_facade_only():
     assert repro.run_scenario is run_scenario
     assert repro.evaluate is evaluate
-    assert repro.__version__ == "3.0.0"
+    assert repro.__version__ == "4.0.0"
     for name in repro.__all__:
         assert getattr(repro, name) is not None, name
 
@@ -181,22 +181,27 @@ def test_legacy_top_level_names_removed():
         ("repro.experiments", "default_scenario"),
         ("repro.experiments.common", "default_scenario"),
         ("repro.experiments.common", "clear_scenario_cache"),
+        ("repro.core", "TrialEnsemble"),
+        ("repro.core", "BlockCountStatistic"),
+        ("repro.core", "ListCoverageStatistic"),
+        ("repro.core.sampling", "TrialEnsemble"),
+        ("repro.core.tracking", "ListCoverageStatistic"),
+        ("repro.ipspace", "sorted_rows"),
+        ("repro.ipspace.kernels", "merge_sorted_rows"),
     ],
 )
 def test_removed_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
-def test_statistics_exported_from_trials_only():
-    from repro.core import blocking, density, prediction, trials
+def test_test_oracles_are_not_shipped():
+    from repro.detect.scan import ScanDetector
+    from repro.detect.trw import TRWDetector
 
-    for module, name in (
-        (density, "BlockCountStatistic"),
-        (prediction, "IntersectionStatistic"),
-        (blocking, "CoveredCountStatistic"),
-    ):
-        assert name not in module.__all__
-        assert name in trials.__all__
+    assert not hasattr(ScanDetector, "detect_reference")
+    assert not hasattr(TRWDetector, "walk_reference")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.trials")
 
 
 def test_paper_scenario_has_one_constructor():

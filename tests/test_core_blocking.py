@@ -210,21 +210,3 @@ class TestControlBlockingDistribution:
             prefixes=(24,), subsets=20,
         )
         assert observed_tp >= dist["hostile"][24].median
-
-    def test_matrix_matches_per_trial_reference(self, flows, bot_test, unclean, control):
-        from repro.core.blocking import monte_carlo_covered_counts
-        from repro.core.sampling import monte_carlo
-        from repro.core.trials import CoveredCountStatistic
-
-        part = partition_candidates(flows, bot_test, unclean)
-        prefixes = (24, 32)
-        batched = monte_carlo_covered_counts(
-            part.hostile, control, len(bot_test), 15,
-            np.random.default_rng(8), prefixes,
-        )
-        statistic = CoveredCountStatistic.for_report(part.hostile, prefixes)
-        reference = monte_carlo(
-            control, len(bot_test), 15, np.random.default_rng(8),
-            statistic=statistic.per_trial,
-        )
-        assert np.array_equal(batched, reference)

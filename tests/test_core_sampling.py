@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.blocking import monte_carlo_covered_counts
 from repro.core.report import Report
 from repro.core.sampling import (
     empirical_subsets,
@@ -10,9 +11,9 @@ from repro.core.sampling import (
     naive_sample,
     trial_seed,
 )
-from repro.core.trials import BlockCountStatistic, CoveredCountStatistic
 from repro.ipspace.addr import first_octet
 from repro.ipspace.iana import allocated_octets
+from repro.ipspace.kernels import block_counts_2d
 from repro.ipspace.reserved import reserved_mask
 
 
@@ -75,12 +76,17 @@ class TestEmpiricalSubsets:
         assert tags == ["control[0]", "control[1]", "control[2]"]
 
 
+def host_counts(trials):
+    """Addresses per trial: each row's /32 block count."""
+    return block_counts_2d(trials, (32,))[:, 0]
+
+
 class TestMonteCarlo:
     def test_statistic_applied_per_subset(self, rng):
         control = Report.from_addresses(
             "control", [f"60.0.0.{k}" for k in range(1, 200)]
         )
-        values = monte_carlo(control, 10, 25, rng, statistic=len)
+        values = monte_carlo(control, 10, 25, rng, statistic=host_counts)
         assert values.shape == (25,)
         assert (values == 10).all()
 
@@ -88,14 +94,18 @@ class TestMonteCarlo:
         control = Report.from_addresses(
             "control", [f"60.{i}.0.{k}" for i in range(4) for k in range(1, 200)]
         )
-        a = monte_carlo(control, 30, 10, np.random.default_rng(5), len)
-        b = monte_carlo(control, 30, 10, np.random.default_rng(5), len)
+
+        def statistic(trials):
+            return block_counts_2d(trials, (16, 24))
+
+        a = monte_carlo(control, 30, 10, np.random.default_rng(5), statistic)
+        b = monte_carlo(control, 30, 10, np.random.default_rng(5), statistic)
         assert np.array_equal(a, b)
 
     def test_invalid_count(self, rng):
         control = Report.from_addresses("control", ["60.0.0.1", "60.0.0.2"])
         with pytest.raises(ValueError):
-            monte_carlo(control, 1, 0, rng, statistic=len)
+            monte_carlo(control, 1, 0, rng, statistic=host_counts)
 
 
 @pytest.fixture(scope="module")
@@ -118,44 +128,39 @@ class TestMonteCarloIgnoresStore:
     """A Monte-Carlo result depends on its inputs, never on the store."""
 
     @pytest.mark.parametrize(
-        "make_statistic",
+        "null",
         [
-            lambda control: BlockCountStatistic((16, 24)),
-            lambda control: CoveredCountStatistic.for_report(
-                Report.from_addresses("target", control.addresses[::5]),
-                (16, 24),
+            lambda target, control, rng: monte_carlo(
+                control, 500, 8, rng, lambda trials: block_counts_2d(trials, (16, 24))
+            ),
+            lambda target, control, rng: monte_carlo_covered_counts(
+                target, control, 500, 8, rng, (16, 24)
             ),
         ],
         ids=["block-counts", "covered-counts"],
     )
     def test_second_control_unaffected_by_first(
-        self, wide_control, tmp_path, monkeypatch, make_statistic
+        self, wide_control, tmp_path, monkeypatch, null
     ):
         from repro.engine.store import default_store, reset_default_store
 
         # Two equal-tag controls of equal size: only their content differs.
         control_a = Report.from_addresses("control", wide_control.addresses[::2])
         control_b = Report.from_addresses("control", wide_control.addresses[1::2])
-        statistic = make_statistic(wide_control)
+        target = Report.from_addresses("target", wide_control.addresses[::5])
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shared"))
         reset_default_store()
         try:
             store = default_store()
             before = _store_traffic(store)
-            values_a = monte_carlo(
-                control_a, 500, 8, np.random.default_rng(7), statistic
-            )
-            values_b = monte_carlo(
-                control_b, 500, 8, np.random.default_rng(7), statistic
-            )
+            values_a = null(target, control_a, np.random.default_rng(7))
+            values_b = null(target, control_b, np.random.default_rng(7))
             assert _store_traffic(store) == before
 
             monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "fresh"))
             reset_default_store()
-            fresh_b = monte_carlo(
-                control_b, 500, 8, np.random.default_rng(7), statistic
-            )
+            fresh_b = null(target, control_b, np.random.default_rng(7))
         finally:
             reset_default_store()
         assert np.array_equal(values_b, fresh_b)

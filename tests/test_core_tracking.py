@@ -158,21 +158,22 @@ class TestControlBaseline:
         assert result["hostile_coverage"] > result["control_coverage"].q95
         assert result["coverage_exceedance"] == 1.0
 
-    def test_matrix_matches_per_trial_reference(self, control):
-        from repro.core.sampling import monte_carlo
-        from repro.core.tracking import ListCoverageStatistic
-
+    def test_exceedance_counts_ties_as_ties(self):
+        """A hostile coverage that only ties every control subset beats
+        none of them, however the reported fraction rounds."""
         tracker = UncleanlinessTracker()
-        tracker.update(0, {"bots": bots_report("w1", 9)})
-        statistic = ListCoverageStatistic(
-            prefix_len=tracker.config.prefix_len,
-            networks=tracker.blocklist.active_networks(1),
+        bots = Report.from_addresses("bots", [f"62.4.9.{i}" for i in range(1, 5)])
+        tracker.update(100, {"bots": bots})
+        hostile = Report.from_addresses(
+            "hostile", ["62.4.9.10", "62.4.9.11", "70.0.0.1"]
         )
-        batched = tracker.control_coverage_matrix(
-            1, 30, control, np.random.default_rng(6), subsets=12
+        control = Report.from_addresses(
+            "control", ["62.4.9.20", "62.4.9.21", "80.0.0.1"]
         )
-        reference = monte_carlo(
-            control, 30, 12, np.random.default_rng(6),
-            statistic=statistic.per_trial,
+        result = tracker.evaluate(
+            100, hostile, control=control,
+            rng=np.random.default_rng(0), subsets=10,
         )
-        assert np.array_equal(batched, reference)
+        assert result["hostile_coverage"] == round(2 / 3, 4)
+        assert result["control_coverage"].median == pytest.approx(2 / 3)
+        assert result["coverage_exceedance"] == 0.0

@@ -2,7 +2,7 @@
 
 Every way the repo computes a detector verdict — batch ``detect``,
 ``merge_all`` over a positional or an interleaved split of the log, the
-stream's day fold, and the readable reference implementations — must
+stream's day fold, and the readable oracles in :mod:`tests.oracles` — must
 agree bit for bit on the same flow log.  The logs span several days,
 cluster start times around hour and day boundaries (so positional cuts
 land mid-hour and mid-day), repeat sources, destinations and timestamps
@@ -22,6 +22,7 @@ from repro.detect.spam import SpamAggregates, SpamDetector, SpamDetectorConfig
 from repro.detect.trw import TRWDetector
 from repro.flows.log import FlowLog
 from repro.flows.record import Protocol, TCPFlags
+from tests.oracles import scan_detect_reference, trw_walk_reference
 
 #: Low thresholds so the tiny generated logs actually exercise flagging.
 SCAN = ScanDetectorConfig(min_targets=3, min_failed_fraction=0.5)
@@ -164,7 +165,7 @@ def _check_every_mode(flows, cuts, labels):
     for day in days:
         per_day = np.union1d(per_day, scan.detect(day))
     _assert_same(per_day, scanners, "scan day fold")
-    _assert_same(scan.detect_reference(flows), scanners, "scan reference")
+    _assert_same(scan_detect_reference(SCAN, flows), scanners, "scan reference")
 
     # Spam: batch, contiguous and interleaved merges, running day fold.
     spam = SpamDetector(SPAM)
@@ -195,7 +196,7 @@ def _check_every_mode(flows, cuts, labels):
     assert walkers.dtype == np.uint32, "trw detect"
     reference = sorted(
         source
-        for source, state in trw.walk_reference(flows).items()
+        for source, state in trw_walk_reference(trw.config, flows).items()
         if state.verdict == "scanner"
     )
     assert walkers.tolist() == reference, "trw reference"

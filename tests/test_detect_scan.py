@@ -6,6 +6,7 @@ import pytest
 from repro.detect.scan import ScanDetector, ScanDetectorConfig
 from repro.flows.log import FlowBatch, FlowLog
 from repro.flows.record import Protocol, TCPFlags
+from tests.oracles import scan_detect_reference
 
 ACKED = TCPFlags.SYN | TCPFlags.ACK | TCPFlags.PSH
 
@@ -187,4 +188,4 @@ class TestKernelMatchesReference:
         log = build_log(entries)
         detector = ScanDetector()
         assert detector.detect(log).size == 0
-        assert detector.detect_reference(log).size == 0
+        assert scan_detect_reference(detector.config, log).size == 0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.detect.trw import TRWConfig, TRWDetector
 from repro.flows.log import FlowBatch, FlowLog
 from repro.flows.record import Protocol, TCPFlags
+from tests.oracles import trw_walk_reference
 
 ACKED = TCPFlags.SYN | TCPFlags.ACK
 
@@ -136,7 +137,7 @@ _flow_tuples = st.lists(
 
 
 class TestVectorizedMatchesReference:
-    """The array kernel must agree with the retained sequential walk."""
+    """The array kernel must agree with the sequential walk oracle."""
 
     @given(_flow_tuples, st.integers(min_value=0, max_value=31))
     @settings(max_examples=120, deadline=None)
@@ -148,7 +149,7 @@ class TestVectorizedMatchesReference:
         log = build_log(entries)
         detector = TRWDetector()
         fast = detector.walk(log)
-        slow = detector.walk_reference(log)
+        slow = trw_walk_reference(detector.config, log)
         assert set(fast) == set(slow)
         for source, state in fast.items():
             reference = slow[source]
@@ -163,7 +164,7 @@ class TestVectorizedMatchesReference:
         detector = TRWDetector()
         reference = sorted(
             source
-            for source, state in detector.walk_reference(log).items()
+            for source, state in trw_walk_reference(detector.config, log).items()
             if state.verdict == "scanner"
         )
         assert detector.detect(log).tolist() == reference
@@ -176,7 +177,7 @@ class TestVectorizedMatchesReference:
         entries += [(7, 200 + i, True, 0) for i in range(2)]
         detector = TRWDetector()
         fast = detector.walk(build_log(entries))
-        slow = detector.walk_reference(build_log(entries))
+        slow = trw_walk_reference(detector.config, build_log(entries))
         assert fast[7].verdict == slow[7].verdict == "scanner"
         assert fast[7].outcomes == slow[7].outcomes == 4
 

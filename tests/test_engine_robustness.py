@@ -39,6 +39,7 @@ from repro.engine.store import (
     resolve_cache_dir,
     verify_entry,
 )
+from repro.ipspace.kernels import block_counts_2d
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -58,6 +59,11 @@ def _reports():
         ),
         "control": Report.from_addresses("control", ["9.9.9.9"]),
     }
+
+
+def _block_counts(trials):
+    """A Monte-Carlo statistic whose values vary from trial to trial."""
+    return block_counts_2d(trials, (16, 24, 32))
 
 
 def _store(path, **kwargs) -> ArtifactStore:
@@ -182,10 +188,12 @@ class TestRetriesAndDegradation:
             control = Report.from_addresses(
                 "control", [f"60.0.{j}.{k}" for j in range(8) for k in range(1, 60)]
             )
-            baseline = monte_carlo(control, 20, 12, np.random.default_rng(3), len)
+            baseline = monte_carlo(
+                control, 20, 12, np.random.default_rng(3), _block_counts
+            )
             with faults.injected(plan):
                 survived = monte_carlo(
-                    control, 20, 12, np.random.default_rng(3), len
+                    control, 20, 12, np.random.default_rng(3), _block_counts
                 )
             assert np.array_equal(baseline, survived)
         finally:
@@ -326,7 +334,9 @@ class TestCrashConsistency:
 _CONTROL = Report.from_addresses(
     "control", [f"60.{i}.{j}.{k}" for i in range(2) for j in range(6) for k in range(1, 40)]
 )
-_BASELINE = monte_carlo(_CONTROL, 12, 6, np.random.default_rng(77), len)
+_BASELINE = monte_carlo(
+    _CONTROL, 12, 6, np.random.default_rng(77), _block_counts
+)
 
 _SITE_KIND = {
     "store.read": "oserror",
@@ -364,7 +374,7 @@ class TestChaosProperty:
                 reader = _store(workdir)
                 loaded = reader.get("fp/reports", ReportMappingCodec())
                 values = monte_carlo(
-                    _CONTROL, 12, 6, np.random.default_rng(77), len
+                    _CONTROL, 12, 6, np.random.default_rng(77), _block_counts
                 )
             # The cache may miss, but it may never lie.
             assert loaded is MISS or loaded == _reports()

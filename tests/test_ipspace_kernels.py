@@ -20,7 +20,6 @@ from repro.ipspace.kernels import (
     block_counts_2d,
     intersection_counts_2d,
     member_counts_2d,
-    sorted_rows,
 )
 
 PREFIXES = (0, 8, 16, 20, 24, 28, 31, 32)
@@ -110,7 +109,8 @@ def weighted_blocks(present, prefixes):
 
 
 def reference_covered(rows, blocks, weights, prefixes):
-    """The §6 per-trial reference (``CoveredCountStatistic.per_trial``)."""
+    """The §6 per-trial reference: each fixed block's weight, summed
+    over the blocks the row covers."""
     return np.array(
         [
             [
@@ -126,14 +126,7 @@ def reference_covered(rows, blocks, weights, prefixes):
 
 
 class TestSortedRows:
-    def test_sorts_each_row(self):
-        rows = np.array([[3, 1, 2], [9, 9, 0]], dtype=np.uint32)
-        out = sorted_rows(rows)
-        assert np.array_equal(out, np.sort(rows, axis=1))
-
-    def test_promotes_vector_to_single_row(self):
-        out = sorted_rows(np.array([5, 1, 3], dtype=np.uint32))
-        assert np.array_equal(out, [[1, 3, 5]])
+    """The kernels' input: a 2-D ``uint32`` matrix of sorted rows."""
 
     def test_kernels_reject_non_2d(self):
         with pytest.raises(ValueError):
