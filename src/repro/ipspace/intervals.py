@@ -3,9 +3,13 @@
 The streaming query surface answers ``score(ip)`` / ``is_blocked(ip)``
 against the *current* blocklist and score table.  Both are sets of
 disjoint CIDR blocks, i.e. sorted non-overlapping inclusive address
-intervals, so a single ``searchsorted`` against the interval starts
-resolves any address: find the last interval starting at or below the
-address, then check the address against that interval's end.
+intervals, so one binary search over the interval starts resolves any
+address: find the last interval starting at or below the address, then
+check the address against that interval's end.  Batches (``lookup``,
+``values_at``) run it as one ``searchsorted``; a single address
+(``contains``, ``value_of``) runs :func:`bisect.bisect_right` over
+Python-list copies of the arrays, built on the first single lookup, so
+it pays no per-call NumPy overhead.
 
 The index is frozen at build time (rebuilt per ingested day by the
 stream layer, which is cheap — thousands of blocks — compared to the
@@ -17,12 +21,14 @@ zero intervals that rejects everything.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.ipspace.addr import AddressLike, as_array, as_int, block_size
+from repro.ipspace.addr import AddressLike, as_array, as_int, block_size, prefix_mask
 
 __all__ = ["IntervalIndex"]
 
@@ -85,10 +91,14 @@ class IntervalIndex:
 
         Same-prefix CIDR blocks are disjoint by construction; a /32
         block degenerates to a one-address interval (``start == end``).
+        A network with host bits set raises ``ValueError``: it would
+        index an interval straddling two blocks.
         """
         if not 0 <= prefix_len <= 32:
             raise ValueError(f"prefix length out of range: {prefix_len}")
         networks = np.asarray(networks, dtype=np.uint32)
+        if np.any(networks & np.uint32(prefix_mask(prefix_len)) != networks):
+            raise ValueError(f"networks are not /{prefix_len} network addresses")
         span = np.int64(block_size(prefix_len) - 1)
         ends = (networks.astype(np.int64) + span).astype(np.uint32)
         return cls(starts=networks, ends=ends, values=values)
@@ -118,9 +128,20 @@ class IntervalIndex:
         clipped = np.maximum(slots, 0)
         return (slots >= 0) & (addresses <= self.ends[clipped])
 
+    @cached_property
+    def _scalar_views(self) -> Tuple[List[int], List[int], Optional[List[float]]]:
+        # Built on the first single lookup, not at construction: the
+        # stream layer's checkpoint snapshots rebuild their indexes but
+        # never serve a lookup, so only the live index pays for these.
+        values = None if self.values is None else self.values.tolist()
+        return self.starts.tolist(), self.ends.tolist(), values
+
     def contains(self, address: AddressLike) -> bool:
         """Whether one address falls inside any interval."""
-        return bool(self.lookup(np.asarray([as_int(address)], dtype=np.uint32))[0])
+        address = as_int(address)
+        starts, ends, _ = self._scalar_views
+        slot = bisect_right(starts, address) - 1
+        return slot >= 0 and address <= ends[slot]
 
     def values_at(self, addresses, default: float = 0.0) -> np.ndarray:
         """Per-address interval values; ``default`` outside every interval."""
@@ -138,9 +159,15 @@ class IntervalIndex:
 
     def value_of(self, address: AddressLike, default: float = 0.0) -> float:
         """The value of the interval containing one address."""
-        return float(
-            self.values_at(np.asarray([as_int(address)], dtype=np.uint32), default)[0]
-        )
+        address = as_int(address)
+        starts, ends, values = self._scalar_views
+        if values is None:
+            raise ValueError("index was built without values")
+        default = float(default)
+        slot = bisect_right(starts, address) - 1
+        if slot >= 0 and address <= ends[slot]:
+            return values[slot]
+        return default
 
     def __repr__(self) -> str:
         return (

@@ -32,6 +32,7 @@ import logging
 import math
 import re
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -115,14 +116,11 @@ class Histogram:
         self.max = -math.inf
 
     def _bucket(self, value: float) -> int:
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        """The first bucket whose bound is ``>= value``; NaN goes to +Inf."""
+        if value != value:
+            # bisect_left alone would file NaN under the first bound.
+            return len(self.bounds)
+        return bisect_left(self.bounds, value)
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -172,30 +170,42 @@ class MetricsRegistry:
         self._metrics: "OrderedDict[str, Any]" = OrderedDict()
         self._lock = threading.Lock()
 
-    def _get_or_create(self, name: str, factory, kind: str):
+    def _get_or_create(self, name: str, cls, *args):
+        """Slow path of the getters: create under the lock, check kind."""
         metric = self._metrics.get(name)
         if metric is None:
             with self._lock:
                 metric = self._metrics.get(name)
                 if metric is None:
-                    metric = factory()
+                    metric = cls(*args)
                     self._metrics[name] = metric
-        if metric.kind != kind:
+        if metric.kind != cls.kind:
             raise TypeError(
-                f"metric {name!r} is a {metric.kind}, not a {kind}"
+                f"metric {name!r} is a {metric.kind}, not a {cls.kind}"
             )
         return metric
 
+    # Counters and histograms return an existing metric of their kind
+    # from one dict lookup: hot paths record them per call (a stream
+    # lookup records both), and recording must cost less than the work
+    # it times.
+
     def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter, "counter")
+        metric = self._metrics.get(name)
+        if type(metric) is Counter:
+            return metric
+        return self._get_or_create(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge, "gauge")
+        return self._get_or_create(name, Gauge)
 
     def histogram(
         self, name: str, bounds: Sequence[float] = HISTOGRAM_BOUNDS
     ) -> Histogram:
-        return self._get_or_create(name, lambda: Histogram(bounds), "histogram")
+        metric = self._metrics.get(name)
+        if type(metric) is Histogram:
+            return metric
+        return self._get_or_create(name, Histogram, bounds)
 
     def get(self, name: str):
         """The metric registered under ``name``, or ``None``."""

@@ -8,11 +8,14 @@
 * **resume** — :meth:`UncleanlinessService.resume` reconstructs the
   newest committed state for a ``(stream config, source)`` pair, or
   starts cold when there is none;
-* a **low-latency query surface** — ``score``, ``is_blocked`` and
-  ``top_blocks`` answer from the precomputed interval indexes
-  (two binary searches per lookup, no report scans), with per-lookup
-  latency recorded to the ``stream.lookup.seconds`` histogram that
-  ``benchmarks/bench_stream.py`` holds to a sub-millisecond p99.
+* a **low-latency query surface** — ``score`` and ``is_blocked``
+  answer from the precomputed interval indexes with one
+  :func:`bisect.bisect_right` per lookup (no report scans, no NumPy
+  call), ``scores_at`` answers a whole address array with one
+  vectorised search, and ``top_blocks`` reads the score table; every
+  single lookup records its latency to the ``stream.lookup.seconds``
+  histogram that ``benchmarks/bench_stream.py`` holds to a
+  sub-millisecond p99.
 """
 
 from __future__ import annotations

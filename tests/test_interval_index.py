@@ -3,14 +3,19 @@
 The geometry the index must survive: reserved/unobserved ranges miss,
 /32 blocks are one-address intervals, addresses outside the observed
 network resolve (not crash) at the extremes of the address space, and
-an empty blocklist rejects everything.
+an empty blocklist rejects everything.  The single-address lookups
+(``contains``, ``value_of``) must agree bit for bit with the batch
+ones (``lookup``, ``values_at``) and validate their input the same way.
 """
+
+import ipaddress
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.ipspace.addr import as_int
 from repro.ipspace.cidr import mask_array
 from repro.ipspace.intervals import IntervalIndex
 
@@ -45,6 +50,24 @@ class TestConstruction:
                 starts=np.asarray([0], dtype=np.uint32),
                 ends=np.asarray([9], dtype=np.uint32),
                 values=np.asarray([1.0, 2.0]),
+            )
+
+    def test_rejects_unmasked_networks(self):
+        # 10.0.0.5 at /24 would index 10.0.0.5-10.0.1.4, straddling two
+        # blocks, and score addresses in the wrong one.
+        with pytest.raises(ValueError, match="not /24 network addresses"):
+            IntervalIndex.from_blocks(
+                np.asarray([as_int("10.0.0.5")], dtype=np.uint32),
+                24,
+                values=np.asarray([0.9]),
+            )
+
+    def test_rejects_unmasked_network_at_top_of_space(self):
+        # Its interval would wrap past 2**32 - 1; the error names the
+        # real fault, not an interval that ends before it starts.
+        with pytest.raises(ValueError, match="not /24 network addresses"):
+            IntervalIndex.from_blocks(
+                np.asarray([0xFFFFFF05], dtype=np.uint32), 24
             )
 
     def test_arrays_frozen(self):
@@ -164,3 +187,95 @@ class TestAgainstMaskReference:
         index = IntervalIndex.from_blocks(np.asarray([0], dtype=np.uint32), 24)
         with pytest.raises(ValueError, match="without values"):
             index.values_at(np.asarray([1], dtype=np.uint32))
+        with pytest.raises(ValueError, match="without values"):
+            index.value_of(1)
+
+
+def _bits(value) -> int:
+    return int(np.float64(value).view(np.uint64))
+
+
+@st.composite
+def indexes(draw):
+    """A same-prefix index, with or without values, possibly empty."""
+    prefix_len = draw(st.sampled_from([0, 8, 16, 24, 30, 32]))
+    members = draw(st.lists(addresses, max_size=12))
+    nets = np.unique(mask_array(np.asarray(members, dtype=np.uint32), prefix_len))
+    values = None
+    if draw(st.booleans()):
+        values = np.asarray(
+            draw(st.lists(st.floats(width=64), min_size=nets.size,
+                          max_size=nets.size)),
+            dtype=np.float64,
+        )
+    return IntervalIndex.from_blocks(nets, prefix_len, values=values)
+
+
+def _edge_probes(index: IntervalIndex) -> list:
+    """0, 2**32 - 1 and every start - 1, start, end, end + 1 in range."""
+    probes = {0, 2**32 - 1}
+    for start, end in zip(index.starts.tolist(), index.ends.tolist()):
+        probes.update((start - 1, start, end, end + 1))
+    return sorted(p for p in probes if 0 <= p <= 2**32 - 1)
+
+
+class TestScalarMatchesBatch:
+    """``contains``/``value_of`` answer exactly as ``lookup``/``values_at``."""
+
+    @given(indexes(), st.lists(addresses, max_size=10), st.floats(width=64))
+    @example(IntervalIndex.empty(), [1, 2**31], 0.0)
+    @example(
+        IntervalIndex.from_blocks(
+            np.asarray([], dtype=np.uint32), 24, values=np.asarray([])
+        ),
+        [7],
+        -0.0,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_single_lookup_equals_batch(self, index, extra, default):
+        for probe in _edge_probes(index) + extra:
+            batch = np.asarray([probe], dtype=np.uint32)
+            verdict = index.contains(probe)
+            assert type(verdict) is bool
+            assert verdict == bool(index.lookup(batch)[0])
+            if index.values is None:
+                continue
+            value = index.value_of(probe, default=default)
+            assert type(value) is float
+            assert _bits(value) == _bits(index.values_at(batch, default=default)[0])
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda a: a,
+            np.uint32,
+            lambda a: str(ipaddress.IPv4Address(a)),
+            ipaddress.IPv4Address,
+        ],
+        ids=["int", "np.uint32", "dotted", "IPv4Address"],
+    )
+    def test_address_forms(self, form):
+        net = as_int("10.1.2.0")
+        index = IntervalIndex.from_blocks(
+            np.asarray([net], dtype=np.uint32), 24, values=np.asarray([0.25])
+        )
+        assert index.contains(form(net + 7)) is True
+        assert index.contains(form(net + 256)) is False
+        assert index.value_of(form(net + 7)) == 0.25
+        assert index.value_of(form(net - 1), default=-1) == -1.0
+
+    @pytest.mark.parametrize("bad", [True, -1, 2**32, "not.an.ip"])
+    @pytest.mark.parametrize("valued", [True, False])
+    def test_bad_addresses_raise_as_as_int(self, bad, valued):
+        """Validation comes first, even on an index without values."""
+        with pytest.raises((TypeError, ValueError)) as expected:
+            as_int(bad)
+        index = IntervalIndex.from_blocks(
+            np.asarray([0], dtype=np.uint32),
+            24,
+            values=np.asarray([0.5]) if valued else None,
+        )
+        for lookup in (index.contains, index.value_of):
+            with pytest.raises(type(expected.value)) as raised:
+                lookup(bad)
+            assert str(raised.value) == str(expected.value)

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,15 @@ def test_kind_mismatch_raises(registry):
     metrics.inc("x")
     with pytest.raises(TypeError, match="is a counter, not a gauge"):
         registry.gauge("x")
+    # The counter and histogram getters return an existing metric of
+    # their own kind from one lookup, and still refuse the other kind.
+    metrics.observe("h", 1.0)
+    assert registry.counter("x") is registry.counter("x")
+    assert registry.histogram("h") is registry.histogram("h")
+    with pytest.raises(TypeError, match="is a counter, not a histogram"):
+        metrics.observe("x", 1.0)
+    with pytest.raises(TypeError, match="is a histogram, not a counter"):
+        metrics.inc("h")
 
 
 def test_snapshot_and_json_round_trip(registry):
@@ -77,6 +87,37 @@ def test_histogram_bucket_boundaries():
         hist.observe(value)
     # <=1.0 catches 0.5 and 1.0; <=10.0 catches 1.5 and 10.0; +Inf the rest
     assert hist.counts == [2, 2, 1]
+
+
+def _loop_bucket(bounds, value):
+    """The bucket search ``Histogram`` used before it bisected."""
+    lo, hi = 0, len(bounds)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if value <= bounds[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _bucket_of(value):
+    hist = metrics.Histogram()
+    hist.observe(value)
+    return hist.counts.index(1)
+
+
+def test_histogram_buckets_match_loop():
+    bounds = metrics.HISTOGRAM_BOUNDS
+    assert _bucket_of(math.nan) == len(bounds)  # +Inf, as before
+    probes = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324]
+    for bound in bounds:
+        probes += [bound, math.nextafter(bound, -math.inf),
+                   math.nextafter(bound, math.inf)]
+    # Log-uniform from below the first bound to above the last.
+    probes += (10.0 ** np.random.default_rng(0).uniform(-9, 6, 5000)).tolist()
+    for value in probes:
+        assert _bucket_of(value) == _loop_bucket(bounds, value), value
 
 
 def test_histogram_merge_requires_matching_bounds():

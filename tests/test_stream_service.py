@@ -15,6 +15,7 @@ import pytest
 from repro import api
 from repro.cli import main
 from repro.engine.store import ArrayCodec, ArtifactStore
+from repro.ipspace.intervals import IntervalIndex
 from repro.obs import metrics as obs_metrics
 from repro.sim.timeline import PAPER_WINDOWS
 from repro.stream import StreamConfig, UncleanlinessService, day_batches
@@ -244,6 +245,42 @@ class TestApiFacade:
     def test_scenario_and_flags_conflict(self, small_scenario):
         with pytest.raises(ValueError, match="not both"):
             api.stream_service(small_scenario, small=True)
+
+
+class TestSingleLookups:
+    """``score``/``is_blocked``: one recorded lookup each, no array path."""
+
+    def _probes(self, service):
+        scores = service.scores()
+        listed = scores.blocks[scores.scores >= service.config.threshold]
+        return [int(scores.blocks[0]) + 1, int(listed[0]), "203.0.113.9"]
+
+    def test_each_lookup_is_recorded_once(self, small_scenario):
+        service = api.stream_service(small_scenario)
+        latency = obs_metrics.registry().histogram("stream.lookup.seconds")
+        for lookup in (service.score, service.is_blocked):
+            for probe in self._probes(service):
+                before = (service.queries, _counter("stream.lookup.count"),
+                          latency.count)
+                lookup(probe)
+                after = (service.queries, _counter("stream.lookup.count"),
+                         latency.count)
+                assert [b - a for a, b in zip(before, after)] == [1, 1, 1]
+
+    def test_single_lookups_bypass_the_array_path(
+        self, small_scenario, monkeypatch
+    ):
+        service = api.stream_service(small_scenario)
+        probes = self._probes(service)
+        expected = [(service.score(p), service.is_blocked(p)) for p in probes]
+
+        def batch_only(*args, **kwargs):
+            raise AssertionError("a single lookup took the array path")
+
+        monkeypatch.setattr(IntervalIndex, "lookup", batch_only)
+        monkeypatch.setattr(IntervalIndex, "values_at", batch_only)
+        assert [(service.score(p), service.is_blocked(p)) for p in probes] == expected
+        assert expected[1][1] is True and expected[2] == (0.0, False)
 
 
 class TestLRUCache:
