@@ -20,8 +20,10 @@ hours never span days, so unioning per-day detections equals
 whole-window detection; the spam detector's statistics are one exact
 mergeable aggregate (:class:`repro.detect.spam.SpamAggregates`) whose
 ``merge_all`` is exact for any split of the log, days included; report
-sets are unions of per-day address deltas; and the noisy-OR scores are
-recomputed from exact integer per-block counts in a fixed class order.
+sets are unions of per-day address deltas; and the stream scores its
+current class sets with :meth:`BlockScores.from_addresses`, the batch
+scorer's own counting and noisy-OR, in :data:`CLASS_ORDER`, so equal
+sets give equal floats by construction.
 """
 
 from __future__ import annotations
@@ -142,8 +144,8 @@ def batch_scores(
     """The batch-path score table the stream must reproduce exactly.
 
     Scores the four unclean class reports with the §7 scorer; the
-    replay-equivalence tests compare the incremental state's rolling
-    counts and scores against this, bit for bit.
+    replay-equivalence tests compare the incremental state's counts and
+    scores against this, bit for bit.
     """
     if weights is None:
         weights = dict(DEFAULT_CLASS_WEIGHTS)

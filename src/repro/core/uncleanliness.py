@@ -131,6 +131,31 @@ class BlockScores:
             scores=1.0 - miss_probability,
         )
 
+    @classmethod
+    def from_addresses(
+        cls,
+        prefix_len: int,
+        per_class: Mapping[str, np.ndarray],
+        weights: Mapping[str, float],
+    ) -> "BlockScores":
+        """The §7 score table from per-class address arrays.
+
+        Counts each class's addresses per ``/prefix_len`` block and
+        scores the counts with :meth:`from_counts`, in ``per_class``
+        order.  :meth:`UncleanlinessScorer.score` and the stream fold
+        both score through here, so equal sets give identical tables.
+        """
+        return cls.from_counts(
+            prefix_len,
+            {
+                name: np.unique(
+                    mask_array(addresses, prefix_len), return_counts=True
+                )
+                for name, addresses in per_class.items()
+            },
+            weights,
+        )
+
 
 class UncleanlinessScorer:
     """Aggregates report classes into per-block uncleanliness scores.
@@ -167,13 +192,11 @@ class UncleanlinessScorer:
         if not reports:
             raise ValueError("at least one report is required")
 
-        per_class = {
-            cls: np.unique(
-                mask_array(report.addresses, self.prefix_len), return_counts=True
-            )
-            for cls, report in reports.items()
-        }
-        return BlockScores.from_counts(self.prefix_len, per_class, self.weights)
+        return BlockScores.from_addresses(
+            self.prefix_len,
+            {cls: report.addresses for cls, report in reports.items()},
+            self.weights,
+        )
 
 
 def block_jaccard(first: Report, second: Report, prefix_len: int) -> float:

@@ -85,6 +85,12 @@ class Clearinghouse:
             raise ValueError(f"duplicate feed names: {names}")
         if quorum < 1:
             raise ValueError(f"quorum must be >= 1: {quorum}")
+        if max_staleness_days is not None and max_staleness_days < 0:
+            raise ValueError(
+                f"max_staleness_days must be >= 0: {max_staleness_days}"
+            )
+        if not 0 <= prefix_len <= 32:
+            raise ValueError(f"prefix length out of range: {prefix_len}")
         self.quarantined: Tuple[str, ...] = tuple(quarantined)
         self.quorum = int(quorum)
         self.max_staleness_days = max_staleness_days

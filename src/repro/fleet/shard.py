@@ -140,6 +140,12 @@ class FleetConfig:
             raise ValueError(f"deadline must be positive: {self.deadline}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1: {self.workers}")
+        if self.max_staleness_days is not None and self.max_staleness_days < 0:
+            raise ValueError(
+                f"max_staleness_days must be >= 0: {self.max_staleness_days}"
+            )
+        if not 0 <= self.prefix_len <= 32:
+            raise ValueError(f"prefix length out of range: {self.prefix_len}")
         if not self.feed_tags:
             raise ValueError("feed_tags must not be empty")
 

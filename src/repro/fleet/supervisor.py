@@ -1,16 +1,16 @@
 """Fault-isolated execution of a multi-network fleet.
 
-:class:`FleetSupervisor` generalises the supervised Monte-Carlo
-scheduler (:mod:`repro.core.sampling`) from trial chunks to whole
-member networks.  Each shard job builds one network's report set and
-returns a :class:`ShardDelivery` — the reports plus a SHA-256 checksum
-of their address content computed *inside* the job, so any corruption
-between the worker and the supervisor is detectable.  The supervisor
+:class:`FleetSupervisor` runs each member network as one supervised
+shard job.  The job builds the network's report set and returns a
+:class:`ShardDelivery` — the reports plus a SHA-256 checksum of their
+address content computed *inside* the job, so any corruption between
+the worker and the supervisor is detectable.  The supervisor
 provides hard failure isolation at the shard boundary:
 
 * **deadlines** — in pool mode each attempt is bounded by
   ``FleetConfig.deadline``; a hung worker is abandoned
-  (``shutdown(wait=False)``), never joined;
+  (``shutdown(wait=False)``), never joined, and only its own shard
+  fails — the round still collects every other shard's delivery;
 * **bounded retry with backoff** — failed shards are re-run on fresh
   pools for up to ``max_retries`` extra rounds with exponential
   backoff between rounds;
@@ -556,10 +556,12 @@ class FleetSupervisor:
                         shard.name,
                         config.deadline,
                     )
-                    # A hung worker must never block the fleet: leave the
-                    # pool behind and let later rounds use a fresh one.
+                    # A hung worker must never block the fleet: keep
+                    # collecting the other shards (each wait still bounded
+                    # by the deadline), then leave the pool behind and let
+                    # later rounds use a fresh one.
                     wait_for_pool = False
-                    break
+                    continue
                 except Exception as err:  # noqa: BLE001 - isolation boundary
                     self._record_failure(meta, shard.name, err)
                     continue

@@ -39,7 +39,6 @@ __all__ = [
     "intersection_counts_2d",
     "member_counts_2d",
     "merge_unique",
-    "remove_sorted",
 ]
 
 #: Rows per pass: keeps every temporary at ``ROW_CHUNK x cardinality``
@@ -281,12 +280,12 @@ def member_counts_2d(
     return out
 
 
-# -- sorted-set deltas for the streaming fold --------------------------------
+# -- sorted-set union for the streaming fold and the score table -------------
 #
-# The stream folds each day into sorted-unique rolling state without a
-# re-sort: one searchsorted of the sorted day-batch against the state
-# finds which elements are new (merge_unique) or present (remove_sorted)
-# and where they sit.
+# The stream merges each day's reports into its sorted-unique rolling
+# sets without a re-sort: one searchsorted of the sorted day-batch
+# against the set finds which elements are new and where they go.
+# BlockScores.from_counts unions the per-class block sets the same way.
 
 
 def merge_unique(
@@ -295,8 +294,8 @@ def merge_unique(
     """Merge a sorted-unique ``batch`` into a sorted-unique ``existing``.
 
     Returns ``(merged, fresh)`` where ``fresh`` marks the batch elements
-    that were *not* already present — the per-day set delta every rolling
-    report and block counter in the stream layer is driven by.
+    that were *not* already present — the per-day delta the stream
+    reports as fresh addresses.
     """
     existing = np.asarray(existing)
     batch = np.asarray(batch, dtype=existing.dtype)
@@ -312,16 +311,3 @@ def merge_unique(
     merged = np.insert(existing, idx[fresh], batch[fresh])
     return merged, fresh
 
-
-def remove_sorted(existing: np.ndarray, victims: np.ndarray) -> np.ndarray:
-    """Drop the (sorted-unique) ``victims`` present in sorted ``existing``."""
-    existing = np.asarray(existing)
-    victims = np.asarray(victims, dtype=existing.dtype)
-    if existing.size == 0 or victims.size == 0:
-        return existing
-    idx = np.searchsorted(existing, victims)
-    clipped = np.minimum(idx, existing.size - 1)
-    present = (idx < existing.size) & (existing[clipped] == victims)
-    if not present.any():
-        return existing
-    return np.delete(existing, idx[present])

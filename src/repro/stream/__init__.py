@@ -9,14 +9,15 @@ rebuild:
     that arrived that day, and the slicing of a window capture into the
     day-batch sequence the fold consumes.
 ``repro.stream.state``
-    :class:`IncrementalState`: the fold.  Rolling report sets, exact
-    mergeable detector aggregates, per-prefix unclean block counters,
-    the §7 noisy-OR score table and the current recommended blocklist —
-    updated per day in work proportional to the day's delta, and
-    bit-identical to the batch pipeline after replaying any window.
+    :class:`IncrementalState`: the fold.  It keeps the rolling report
+    sets and the exact mergeable spam aggregate, and rebuilds the §7
+    noisy-OR score table and the recommended blocklist from those sets
+    each day with the batch scorer's own code — bit-identical to the
+    batch pipeline after replaying any window.
 ``repro.stream.checkpoint``
-    :class:`StreamStateCodec`: the fold state as a checksummed artifact
-    so a restarted service resumes from the last committed day.
+    :class:`StreamStateCodec`: the fold's report sets and spam
+    aggregate as a checksummed artifact, so a restarted service resumes
+    from the last committed day.
 ``repro.stream.service``
     :class:`UncleanlinessService`: ingest + checkpointing + the
     low-latency query surface (``score``, ``is_blocked``,

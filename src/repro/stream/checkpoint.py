@@ -1,9 +1,14 @@
 """Persistence of the streaming fold through the artifact store.
 
-The fold state is exact integers and address sets — everything derived
-(scores, blocklist, interval indexes) is a deterministic function of
-them — so a checkpoint stores only the exact part and rebuilds the rest
-on load.  One checkpoint is written per ingested day under
+A checkpoint stores only the state the fold cannot recompute: one
+``addresses:<tag>`` array per report set, the six ``spam:*`` arrays of
+the running spam aggregate, and the cursor and report metadata in the
+sidecar.  Scores, blocklist, interval indexes, R_unclean and its
+density counts are deterministic functions of those and are rebuilt on
+load.  Checkpoints written by 4.x also carry ``unclean``, ``class:*``
+and ``prefix:*`` arrays; loading ignores them, so such a checkpoint
+resumes without its counters ever being trusted.  One checkpoint is
+written per ingested day under
 
     ``<stream-fingerprint>/stream.day-<DDDDD>``
 
@@ -31,11 +36,10 @@ from typing import Dict
 
 import numpy as np
 
-from repro.core import folds
 from repro.detect.spam import SpamAggregates
 from repro.engine.fingerprint import fingerprint
 from repro.engine.store import Codec, VersionSkew
-from repro.stream.state import BlockCounter, IncrementalState, StreamConfig
+from repro.stream.state import IncrementalState, StreamConfig
 
 __all__ = ["StreamStateCodec", "stream_fingerprint", "day_key", "head_key"]
 
@@ -87,9 +91,10 @@ class StreamStateCodec(Codec):
         self.config = config
 
     def to_payload(self, value: IncrementalState):
-        arrays: Dict[str, np.ndarray] = {"unclean": value._unclean}
-        for tag, addresses in value._addresses.items():
-            arrays[f"addresses:{tag}"] = addresses
+        arrays: Dict[str, np.ndarray] = {
+            f"addresses:{tag}": addresses
+            for tag, addresses in value._addresses.items()
+        }
         spam = value._spam
         arrays["spam:sources"] = spam.sources
         arrays["spam:messages"] = spam.messages
@@ -97,12 +102,6 @@ class StreamStateCodec(Codec):
         arrays["spam:size_sq_sums"] = spam.size_sq_sums
         arrays["spam:day_sources"] = spam.day_sources
         arrays["spam:day_values"] = spam.day_values
-        for cls, counter in value._class_counters.items():
-            arrays[f"class:{cls}:blocks"] = counter.blocks
-            arrays[f"class:{cls}:counts"] = counter.counts
-        for n, counter in value._prefix_counters.items():
-            arrays[f"prefix:{n}:blocks"] = counter.blocks
-            arrays[f"prefix:{n}:counts"] = counter.counts
         meta = {
             "config_fingerprint": fingerprint(self.config),
             "cursor": value.cursor,
@@ -153,22 +152,5 @@ class StreamStateCodec(Codec):
             day_sources=arrays["spam:day_sources"].astype(np.uint32),
             day_values=arrays["spam:day_values"].astype(np.int64),
         )
-        state._class_counters = {
-            cls: BlockCounter(
-                self.config.prefix_len,
-                blocks=arrays[f"class:{cls}:blocks"],
-                counts=arrays[f"class:{cls}:counts"],
-            )
-            for cls in folds.CLASS_ORDER
-        }
-        state._prefix_counters = {
-            int(n): BlockCounter(
-                int(n),
-                blocks=arrays[f"prefix:{n}:blocks"],
-                counts=arrays[f"prefix:{n}:counts"],
-            )
-            for n in self.config.prefixes
-        }
-        state._unclean = arrays["unclean"].astype(np.uint32)
         state._rebuild_derived()
         return state

@@ -119,7 +119,8 @@ class UncleanlinessService:
                 # Day first, head second: the head only ever names a
                 # checkpoint that finished committing.  A snapshot, not
                 # the live state — the store's memory tier holds objects
-                # by reference and the fold mutates counters in place.
+                # by reference and the fold replaces its report sets in
+                # place.
                 self.store.put(
                     day_key(self.fingerprint, batch.day),
                     self.state.snapshot(),

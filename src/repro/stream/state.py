@@ -1,53 +1,54 @@
 """The incremental uncleanliness fold.
 
 :class:`IncrementalState` consumes :class:`~repro.stream.batches.DayBatch`
-objects in day order and maintains, at all times, exactly what the batch
-pipeline would compute for the days ingested so far:
+objects in day order and keeps only what it cannot recompute:
 
 * the rolling report sets (provided feeds merged as they arrive, scan
   detections unioned per day, spam flags recomputed from the running
   :class:`~repro.detect.spam.SpamAggregates`, folded one day at a time
   with ``SpamAggregates.merge_all`` — spam is the one *non-monotone*
-  report: a source can unflag as its size variance grows);
-* per-class :class:`BlockCounter` tables — exact integer address counts
-  per scored block, incremented by fresh addresses and decremented when
-  a spam source unflags, pruning blocks whose counts reach zero so the
-  scored block set matches the batch scorer's;
-* per-prefix block counters over R_unclean for the §4 density
-  statistics (``block_counts``);
-* the §7 noisy-OR score table, recomputed each day from the exact
-  counts in the fixed :data:`repro.core.folds.CLASS_ORDER` (floating
-  multiplication order matters), plus the threshold blocklist and the
-  interval indexes serving the low-latency query surface.
+  report: a source can unflag as its size variance grows, and then it
+  simply leaves the spam set);
+* the running spam aggregate, the feeds' report metadata and the cursor.
 
-Work per day is proportional to the day's flow volume and the score
-rebuild (``O(blocks)``), never to the accumulated window, while
-replaying a whole window reproduces the batch path bit for bit
-(``tests/test_stream_replay.py``).
+Everything else is derived from the report sets.  Each day the §7
+noisy-OR score table is rebuilt from the bot, scan, spam and phish sets
+with :meth:`BlockScores.from_addresses` — the counting and scoring code
+:meth:`UncleanlinessScorer.score` runs, fed the classes in the fixed
+:data:`repro.core.folds.CLASS_ORDER` — together with the threshold
+blocklist and the interval indexes serving the low-latency query
+surface.  R_unclean (``report("unclean")``) and its §4 density counts
+(``block_counts``) are computed on demand as the union of the current
+sets.
+
+Work per day is proportional to the day's flow volume plus the current
+state (merging into the rolling sets and the spam aggregate, recounting
+the four class sets, rebuilding the score table), never to the flows
+already folded, while replaying a whole window reproduces the batch
+path bit for bit (``tests/test_stream_replay.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.core import cidr as rcidr
 from repro.core import folds
 from repro.core.report import DataClass, Report, ReportType
 from repro.core.uncleanliness import BlockScores
 from repro.detect.scan import ScanDetector, ScanDetectorConfig
 from repro.detect.spam import SpamAggregates, SpamDetectorConfig
-from repro.core.cidr import PREFIX_RANGE
-from repro.ipspace.cidr import mask_array
 from repro.ipspace.intervals import IntervalIndex
-from repro.ipspace.kernels import merge_unique, remove_sorted
+from repro.ipspace.kernels import merge_unique
 from repro.obs import metrics as obs_metrics
 from repro.sim.timeline import Window
 from repro.stream.batches import DayBatch
 
-__all__ = ["StreamConfig", "BlockCounter", "IncrementalState", "IngestDelta"]
+__all__ = ["StreamConfig", "IncrementalState", "IngestDelta"]
 
 #: Tags the fold computes itself; feeds may not deliver them.
 _COMPUTED_TAGS = ("scan", "spam", "unclean")
@@ -73,8 +74,8 @@ class StreamConfig:
     #: order and must match :data:`repro.core.folds.CLASS_ORDER`.
     weights: Tuple[Tuple[str, float], ...] = folds.DEFAULT_CLASS_WEIGHTS
 
-    #: Prefix lengths tracked for R_unclean block-count densities.
-    prefixes: Tuple[int, ...] = tuple(PREFIX_RANGE)
+    #: Prefix lengths of the R_unclean block-count densities.
+    prefixes: Tuple[int, ...] = tuple(rcidr.PREFIX_RANGE)
 
     #: Detector calibrations (must match the batch scenario's for
     #: replay equivalence).
@@ -95,84 +96,6 @@ class StreamConfig:
                 raise ValueError(f"prefix length out of range: {n}")
         self.scan_detector.validate()
         self.spam_detector.validate()
-
-
-class BlockCounter:
-    """Exact address counts per CIDR block at one prefix length.
-
-    Tracks, for a dynamic set of addresses, how many member addresses
-    fall in each touched block — supporting increment (new addresses),
-    decrement (retracted addresses, i.e. spam unflags) and zero-count
-    pruning, so ``blocks`` is at all times exactly
-    :math:`C_n(S)` of the underlying set ``S``.
-    """
-
-    __slots__ = ("prefix_len", "blocks", "counts")
-
-    def __init__(
-        self,
-        prefix_len: int,
-        blocks: Optional[np.ndarray] = None,
-        counts: Optional[np.ndarray] = None,
-    ) -> None:
-        self.prefix_len = int(prefix_len)
-        self.blocks = (
-            np.asarray(blocks, dtype=np.uint32)
-            if blocks is not None
-            else _EMPTY_U32.copy()
-        )
-        self.counts = (
-            np.asarray(counts, dtype=np.int64)
-            if counts is not None
-            else np.asarray([], dtype=np.int64)
-        )
-        if self.blocks.size != self.counts.size:
-            raise ValueError("blocks and counts must align")
-
-    def add(self, addresses: np.ndarray) -> None:
-        """Count ``addresses`` (unique, newly added to the set) in."""
-        if addresses.size == 0:
-            return
-        nets, per_block = np.unique(
-            mask_array(addresses, self.prefix_len), return_counts=True
-        )
-        merged, fresh = merge_unique(self.blocks, nets)
-        if fresh.any():
-            positions = np.searchsorted(self.blocks, nets[fresh])
-            self.counts = np.insert(self.counts, positions, 0)
-            self.blocks = merged
-        self.counts[np.searchsorted(self.blocks, nets)] += per_block
-
-    def remove(self, addresses: np.ndarray) -> None:
-        """Count ``addresses`` (unique, just removed from the set) out,
-        pruning blocks whose count reaches zero."""
-        if addresses.size == 0:
-            return
-        nets, per_block = np.unique(
-            mask_array(addresses, self.prefix_len), return_counts=True
-        )
-        positions = np.searchsorted(self.blocks, nets)
-        if positions.size and (
-            positions.max(initial=0) >= self.blocks.size
-            or not np.array_equal(self.blocks[positions], nets)
-        ):
-            raise ValueError("removing addresses from blocks never added")
-        self.counts[positions] -= per_block
-        if (self.counts[positions] < 0).any():
-            raise ValueError("block count went negative")
-        if (self.counts[positions] == 0).any():
-            keep = self.counts > 0
-            self.blocks = self.blocks[keep]
-            self.counts = self.counts[keep]
-
-    def __len__(self) -> int:
-        return int(self.blocks.size)
-
-    def __repr__(self) -> str:
-        return (
-            f"BlockCounter(/{self.prefix_len}, blocks={len(self)}, "
-            f"addresses={int(self.counts.sum())})"
-        )
 
 
 @dataclass(frozen=True)
@@ -206,13 +129,6 @@ class IncrementalState:
         }
         self._meta: Dict[str, Tuple[str, str, object]] = {}
         self._spam = SpamAggregates.empty()
-        self._class_counters = {
-            cls: BlockCounter(config.prefix_len) for cls in folds.CLASS_ORDER
-        }
-        self._unclean = _EMPTY_U32
-        self._prefix_counters = {
-            int(n): BlockCounter(n) for n in config.prefixes
-        }
         self._rebuild_derived()
 
     # -- ingest ------------------------------------------------------------
@@ -233,7 +149,7 @@ class IncrementalState:
             return self._ingest(batch, day)
 
     def _ingest(self, batch: DayBatch, day: int) -> IngestDelta:
-        fresh: Dict[str, np.ndarray] = {}
+        fresh: Dict[str, int] = {}
 
         # 1. Provided feeds: merge each delivered report into its tag.
         for tag, report in batch.provided.items():
@@ -249,7 +165,7 @@ class IncrementalState:
                 self._addresses.get(tag, _EMPTY_U32), filtered.addresses
             )
             self._addresses[tag] = merged
-            fresh[tag] = filtered.addresses[new]
+            fresh[tag] = int(np.count_nonzero(new))
 
         # 2. Scan: hour-bucketed, hours never span days, so per-day
         # detections union to the whole-window detection.
@@ -260,7 +176,7 @@ class IncrementalState:
         ).addresses
         merged, new = merge_unique(self._addresses["scan"], scanners)
         self._addresses["scan"] = merged
-        fresh["scan"] = scanners[new]
+        fresh["scan"] = int(np.count_nonzero(new))
 
         # 3. Spam: fold exact aggregates, recompute the flag set — the
         # non-monotone step; a source can leave the report.
@@ -272,32 +188,11 @@ class IncrementalState:
             self.config.window,
         ).addresses
         spam_before = self._addresses["spam"]
-        spam_added = np.setdiff1d(spam_now, spam_before).astype(np.uint32)
-        spam_removed = np.setdiff1d(spam_before, spam_now).astype(np.uint32)
+        fresh["spam"] = int(np.setdiff1d(spam_now, spam_before).size)
+        retracted = int(np.setdiff1d(spam_before, spam_now).size)
         self._addresses["spam"] = spam_now
-        fresh["spam"] = spam_added
 
-        # 4. Per-class score counters follow the report deltas.
-        for tag, cls in folds.CLASS_OF_TAG.items():
-            added = fresh.get(tag)
-            if added is not None and added.size:
-                self._class_counters[cls].add(added)
-        self._class_counters[DataClass.SPAM].remove(spam_removed)
-
-        # 5. R_unclean and its per-prefix density counters.
-        additions = _EMPTY_U32
-        for tag in folds.UNCLEAN_TAGS:
-            additions, _ = merge_unique(additions, fresh.get(tag, _EMPTY_U32))
-        self._unclean, new = merge_unique(self._unclean, additions)
-        added_unclean = additions[new]
-        removed_unclean = self._unclean_removals(spam_removed)
-        if removed_unclean.size:
-            self._unclean = remove_sorted(self._unclean, removed_unclean)
-        for counter in self._prefix_counters.values():
-            counter.add(added_unclean)
-            counter.remove(removed_unclean)
-
-        # 6. Derived views: scores, blocklist, interval indexes.
+        # 4. Derived views: scores, blocklist, interval indexes.
         self._rebuild_derived()
 
         self.cursor = day
@@ -307,45 +202,29 @@ class IncrementalState:
         delta = IngestDelta(
             day=day,
             flows=len(batch.flows),
-            fresh={tag: int(arr.size) for tag, arr in fresh.items()},
-            retracted_spam=int(spam_removed.size),
+            fresh=fresh,
+            retracted_spam=retracted,
             blocks=len(self._scores),
             blocklist_size=int(self._blocklist.size),
         )
         self._record_metrics(delta)
         return delta
 
-    def _unclean_removals(self, spam_removed: np.ndarray) -> np.ndarray:
-        """Retracted spam sources no other unclean report still claims."""
-        if spam_removed.size == 0:
-            return _EMPTY_U32
-        still_claimed = np.zeros(spam_removed.size, dtype=bool)
-        for tag in folds.UNCLEAN_TAGS:
-            if tag == "spam":
-                continue
-            addresses = self._addresses.get(tag)
-            if addresses is None or addresses.size == 0:
-                continue
-            idx = np.searchsorted(addresses, spam_removed)
-            idx[idx == addresses.size] = 0
-            still_claimed |= addresses[idx] == spam_removed
-        return spam_removed[~still_claimed]
-
     def _rebuild_derived(self) -> None:
-        """Recompute scores/blocklist/indexes from the exact counters.
+        """Recompute scores/blocklist/indexes from the report sets.
 
-        The score table comes from :meth:`BlockScores.from_counts`, the
-        same function :meth:`UncleanlinessScorer.score` uses, fed the
-        counters in :data:`repro.core.folds.CLASS_ORDER`: the counters
-        make the counts identical and the shared function and class
-        order make the floats identical.
+        The score table comes from :meth:`BlockScores.from_addresses`,
+        the code :meth:`UncleanlinessScorer.score` runs, fed the class
+        sets in :data:`repro.core.folds.CLASS_ORDER`: shared counting
+        makes the counts identical, and the shared noisy-OR and class
+        order make the floats identical.  A feed not yet delivered
+        counts as an empty set.
         """
-        counters = self._class_counters
-        self._scores = BlockScores.from_counts(
+        self._scores = BlockScores.from_addresses(
             self.config.prefix_len,
             {
-                cls: (counters[cls].blocks, counters[cls].counts)
-                for cls in folds.CLASS_ORDER
+                cls: self._addresses.get(tag, _EMPTY_U32)
+                for tag, cls in folds.CLASS_OF_TAG.items()
             },
             dict(self.config.weights),
         )
@@ -373,11 +252,14 @@ class IncrementalState:
         """An independent copy of the fold at its current cursor.
 
         Checkpoints must store snapshots, not the live state: the store's
-        memory tier keeps objects by reference, and the fold mutates its
-        counter arrays in place, so an aliased checkpoint would silently
-        advance past the day it claims to commit.  Report arrays and spam
-        aggregates are never mutated in place (merges replace them), so
-        those are shared; only the counters are copied.
+        memory tier keeps objects by reference, and ingest replaces the
+        entries of the report-set and metadata dicts in place, so an
+        aliased checkpoint would silently advance past the day it claims
+        to commit.  The report arrays and the spam aggregate themselves
+        are never mutated (merges replace them), so those are shared.
+        The copy builds its own derived views: the live interval indexes
+        grow lazily built lookup views, which every snapshot the memory
+        tier keeps would otherwise hold on to.
         """
         clone = IncrementalState.__new__(IncrementalState)
         clone.config = self.config
@@ -387,15 +269,6 @@ class IncrementalState:
         clone._addresses = dict(self._addresses)
         clone._meta = dict(self._meta)
         clone._spam = self._spam
-        clone._class_counters = {
-            cls: BlockCounter(c.prefix_len, c.blocks.copy(), c.counts.copy())
-            for cls, c in self._class_counters.items()
-        }
-        clone._unclean = self._unclean
-        clone._prefix_counters = {
-            n: BlockCounter(c.prefix_len, c.blocks.copy(), c.counts.copy())
-            for n, c in self._prefix_counters.items()
-        }
         clone._rebuild_derived()
         return clone
 
@@ -408,7 +281,10 @@ class IncrementalState:
         if tag == "unclean":
             return Report(
                 tag="unclean",
-                addresses=self._unclean,
+                addresses=np.concatenate([
+                    self._addresses.get(member, _EMPTY_U32)
+                    for member in folds.UNCLEAN_TAGS
+                ]),
                 report_type=ReportType.PROVIDED,
                 data_class=DataClass.SPECIAL,
                 period=self.config.window.dates(),
@@ -454,7 +330,7 @@ class IncrementalState:
 
     def block_counts(self) -> Dict[int, int]:
         """``{prefix_len: |C_n(R_unclean)|}`` — the §4 density counts."""
-        return {n: len(counter) for n, counter in self._prefix_counters.items()}
+        return rcidr.block_counts(self.report("unclean"), self.config.prefixes)
 
     def __repr__(self) -> str:
         return (

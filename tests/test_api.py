@@ -28,7 +28,7 @@ def test_acceptance_import_line():
 def test_top_level_reexports_facade_only():
     assert repro.run_scenario is run_scenario
     assert repro.evaluate is evaluate
-    assert repro.__version__ == "4.0.0"
+    assert repro.__version__ == "5.0.0"
     for name in repro.__all__:
         assert getattr(repro, name) is not None, name
 
@@ -188,6 +188,8 @@ def test_legacy_top_level_names_removed():
         ("repro.core.tracking", "ListCoverageStatistic"),
         ("repro.ipspace", "sorted_rows"),
         ("repro.ipspace.kernels", "merge_sorted_rows"),
+        ("repro.stream.state", "BlockCounter"),
+        ("repro.ipspace.kernels", "remove_sorted"),
     ],
 )
 def test_removed_names_are_gone(module, name):

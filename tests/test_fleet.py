@@ -96,6 +96,23 @@ class TestFleetConfig:
         with pytest.raises(ValueError, match="quorum"):
             config.validate()
 
+    def test_negative_staleness_rejected(self):
+        # -1 would mark even the freshest feed stale and fail only at
+        # pooling time, blaming availability.
+        config = small_fleet(2, max_staleness_days=-1)
+        with pytest.raises(ValueError, match="max_staleness_days"):
+            config.validate()
+        with pytest.raises(ValueError, match="max_staleness_days"):
+            Clearinghouse([], max_staleness_days=-1)
+
+    def test_prefix_len_bounds(self):
+        # /40 would run every shard, then fail in the scorer.
+        config = small_fleet(2, prefix_len=40)
+        with pytest.raises(ValueError, match="prefix length out of range"):
+            config.validate()
+        with pytest.raises(ValueError, match="prefix length out of range"):
+            Clearinghouse([], prefix_len=40)
+
     def test_fingerprint_ignores_execution_policy(self):
         base = small_fleet(2)
         tweaked = small_fleet(2, workers=4, max_retries=5, deadline=9.0)

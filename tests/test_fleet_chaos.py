@@ -8,6 +8,7 @@ run either produces pooled scores bit-identical to the fault-free run
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -99,6 +100,16 @@ class TestCorruption:
 # -- slowness --------------------------------------------------------------
 
 
+def _hang_net_a_runner(shard, feed_tags):
+    """Sleep well past the test's deadline on ``net-a`` only.
+
+    Kept short: interpreter exit waits for the abandoned worker.
+    """
+    if shard.name == "net-a":
+        time.sleep(3.0)
+    return synthetic_reports(shard, feed_tags)
+
+
 class TestSlowness:
     def test_slow_without_deadline_is_only_slow(self, faultfree_scores):
         plan = faults.FaultPlan.from_spec("shard.slow:every=2,delay=0.01")
@@ -109,6 +120,18 @@ class TestSlowness:
             result.clearinghouse.pooled_scores().scores,
             faultfree_scores.scores,
         )
+
+    def test_one_hung_shard_quarantines_only_itself(self):
+        # The shards after the hung one have finished by the time its
+        # deadline passes; their deliveries must still be collected.
+        config = small_fleet(3, workers=3, deadline=0.5, max_retries=0)
+        result = FleetSupervisor(
+            config, runner=_hang_net_a_runner, checkpoint=False
+        ).run()
+        assert result.ok == ("net-b", "net-c")
+        assert result.quarantined == ("net-a",)
+        assert "deadline" in result.outcome("net-a").error
+        assert all(outcome.attempts == 1 for outcome in result.outcomes)
 
     def test_slow_past_deadline_is_typed_failure(self):
         # Fork-mode workers inherit the active plan, so every retry is

@@ -1,16 +1,16 @@
-"""Property tests for the streaming fold's sorted-set kernels.
+"""Property tests for the streaming fold's sorted-set merge kernel.
 
-``merge_unique`` and ``remove_sorted`` must be bit-identical to the set
-operations they replace (``np.union1d``/``np.setdiff1d``).  That
-identity is what makes the streaming layer's incremental day folds
-indistinguishable from batch recomputation.
+``merge_unique`` must be bit-identical to the set operations it
+replaces (``np.union1d`` for the merge, ``np.setdiff1d`` for the fresh
+elements).  That identity is what makes the streaming layer's
+incremental day folds indistinguishable from batch recomputation.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ipspace.kernels import merge_unique, remove_sorted
+from repro.ipspace.kernels import merge_unique
 
 addresses = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
@@ -41,16 +41,3 @@ class TestMergeUnique:
         assert merged is not b
         assert fresh.all()
 
-
-class TestRemoveSorted:
-    @given(st.lists(addresses), st.lists(addresses))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_setdiff(self, values, victims):
-        a = unique_array(values)
-        # Only victims present in ``a`` are legal to remove.
-        v = np.intersect1d(unique_array(victims), a)
-        assert np.array_equal(remove_sorted(a, v), np.setdiff1d(a, v))
-
-    def test_remove_everything(self):
-        a = unique_array([1, 5, 9])
-        assert remove_sorted(a, a).size == 0

@@ -14,6 +14,8 @@ import pytest
 
 from repro import api
 from repro.cli import main
+from repro.core import folds
+from repro.core.report import DataClass, Report, ReportType
 from repro.engine.store import ArrayCodec, ArtifactStore
 from repro.ipspace.intervals import IntervalIndex
 from repro.obs import metrics as obs_metrics
@@ -41,6 +43,65 @@ class _ParentFormatCodec(StreamStateCodec):
         return arrays, meta
 
 
+class _V4FormatCodec(StreamStateCodec):
+    """Writes checkpoints in the 4.0 format, which also stored R_unclean
+    and the per-class and per-prefix block counters — here with wrong
+    contents, so a reader that trusted them would resume with zero
+    scores, an empty R_unclean and zero densities."""
+
+    def to_payload(self, value):
+        arrays, meta = super().to_payload(value)
+        blocks = value.scores().blocks
+        arrays["unclean"] = np.asarray([], dtype=np.uint32)
+        for cls in folds.CLASS_ORDER:
+            arrays[f"class:{cls}:blocks"] = blocks
+            arrays[f"class:{cls}:counts"] = np.zeros(blocks.size, dtype=np.int64)
+        for n in self.config.prefixes:
+            arrays[f"prefix:{n}:blocks"] = np.asarray([], dtype=np.uint32)
+            arrays[f"prefix:{n}:counts"] = np.asarray([], dtype=np.int64)
+        return arrays, meta
+
+
+_SPAM_KEYS = (
+    "spam:sources",
+    "spam:messages",
+    "spam:size_sums",
+    "spam:size_sq_sums",
+    "spam:day_sources",
+    "spam:day_values",
+)
+
+
+def _feeds(traffic):
+    """Bot and phish feeds drawn from the capture's own sources, so they
+    overlap the detected scan and spam reports."""
+    sources = np.unique(traffic.flows.src_addr)
+    return {
+        tag: Report(
+            tag=tag,
+            addresses=sources[offset::step],
+            report_type=ReportType.PROVIDED,
+            data_class=data_class,
+            period=traffic.window.dates(),
+        )
+        for tag, offset, step, data_class in (
+            ("bot", 0, 7, DataClass.BOTS),
+            ("phish", 3, 11, DataClass.PHISHING),
+        )
+    }
+
+
+def _assert_same_fold(resumed, live):
+    """Resumed and live services agree on every derived view, bit for bit."""
+    assert np.array_equal(resumed.scores().blocks, live.scores().blocks)
+    assert np.array_equal(resumed.scores().scores, live.scores().scores)
+    for cls, column in live.scores().class_counts.items():
+        assert np.array_equal(resumed.scores().class_counts[cls], column)
+    assert np.array_equal(resumed.blocklist(), live.blocklist())
+    assert resumed.state.report("unclean") == live.state.report("unclean")
+    assert resumed.state.block_counts() == live.state.block_counts()
+
+
 @pytest.fixture
 def stream_config():
     return StreamConfig(window=PAPER_WINDOWS.OCTOBER)
@@ -52,8 +113,10 @@ def disk_store(tmp_path):
 
 
 class TestCheckpointResume:
-    def _fold(self, service, traffic, days):
-        for batch in day_batches(traffic, from_day=service.cursor + 1):
+    def _fold(self, service, traffic, days, provided=None):
+        for batch in day_batches(
+            traffic, provided, from_day=service.cursor + 1
+        ):
             if days is not None and batch.day >= service.config.window.start_day + days:
                 break
             service.ingest(batch)
@@ -167,6 +230,59 @@ class TestCheckpointResume:
         assert resumed.cursor == service.cursor == PAPER_WINDOWS.OCTOBER.end_day
         assert np.array_equal(resumed.scores().scores, service.scores().scores)
         assert np.array_equal(resumed.blocklist(), service.blocklist())
+
+    def test_day_checkpoint_holds_only_exact_state(
+        self, stream_config, disk_store, tmp_path, tiny_traffic
+    ):
+        """A day checkpoint stores the report sets and the spam
+        aggregate; everything derived is rebuilt on load."""
+        service = UncleanlinessService(
+            stream_config, source="t", store=disk_store
+        )
+        self._fold(service, tiny_traffic, days=2, provided=_feeds(tiny_traffic))
+        base = ArtifactStore._base_name(
+            day_key(service.fingerprint, service.cursor)
+        )
+        with np.load(tmp_path / "cache" / f"{base}.npz") as payload:
+            keys = set(payload.files)
+        assert keys == {
+            f"addresses:{tag}" for tag in ("bot", "phish", "scan", "spam")
+        } | set(_SPAM_KEYS)
+
+    def test_v4_format_checkpoint_resumes_without_trusting_counters(
+        self, stream_config, disk_store, tmp_path, tiny_traffic
+    ):
+        """A 4.0 checkpoint's extra ``unclean``, ``class:*`` and
+        ``prefix:*`` arrays are ignored: the service resumes at the
+        checkpoint's day and rebuilds every derived view from the
+        report sets."""
+        service = UncleanlinessService(
+            stream_config, source="t", store=disk_store
+        )
+        self._fold(service, tiny_traffic, days=3, provided=_feeds(tiny_traffic))
+        disk_store.put(
+            day_key(service.fingerprint, service.cursor),
+            service.state.snapshot(),
+            _V4FormatCodec(stream_config),
+        )
+
+        fresh = ArtifactStore(max_memory_items=8, disk_dir=tmp_path / "cache")
+        restored = _counter("stream.resume.restored")
+        resumed = UncleanlinessService.resume(
+            stream_config, source="t", store=fresh
+        )
+        assert _counter("stream.resume.restored") == restored + 1
+        assert resumed.cursor == service.cursor
+        assert resumed.state.days_ingested == service.state.days_ingested == 3
+        assert fresh.version_skew == 0
+        assert fresh.quarantined == 0
+        assert fresh.info()["quarantine_files"] == 0
+        _assert_same_fold(resumed, service)
+
+        self._fold(resumed, tiny_traffic, days=None)
+        self._fold(service, tiny_traffic, days=None)
+        assert resumed.cursor == service.cursor == PAPER_WINDOWS.OCTOBER.end_day
+        _assert_same_fold(resumed, service)
 
     def test_resume_honours_head_pointer(
         self, stream_config, disk_store, tiny_traffic
