@@ -501,7 +501,7 @@ def evaluate(
                 unclean,
                 _as_report(sc, control),
                 _mc_rng(sc.config.seed, rng, seed),
-                prefixes=tuple(prefixes or PREFIX_RANGE),
+                prefixes=tuple(PREFIX_RANGE if prefixes is None else prefixes),
                 subsets=subsets,
                 include_naive=include_naive,
                 naive_subsets=naive_subsets,
@@ -548,7 +548,7 @@ def evaluate(
                 control_report,
                 _mc_rng(sc.config.seed, rng, seed),
                 partition=sc.partition if metric == "all" else None,
-                prefixes=tuple(prefixes or PREFIX_RANGE),
+                prefixes=tuple(PREFIX_RANGE if prefixes is None else prefixes),
                 subsets=subsets,
             )
             result = evaluation if metric == "all" else evaluation.prediction
@@ -641,7 +641,7 @@ def compare(
             control_report,
             _mc_rng(sc.config.seed, rng, seed),
             partition=sc.partition,
-            prefixes=tuple(prefixes or PREFIX_RANGE),
+            prefixes=tuple(PREFIX_RANGE if prefixes is None else prefixes),
             subsets=subsets,
         )
     if cacheable:

@@ -223,7 +223,7 @@ def blocking_test_blocks(
     scored.  All prefixes are scored in one batched kernel pass per
     candidate class (:func:`repro.ipspace.kernels.member_counts_2d`).
     """
-    prefixes = tuple(prefixes)
+    prefixes = rcidr.prefix_tuple(prefixes)
     blocks_by_prefix = list(blocks_by_prefix)
     if len(blocks_by_prefix) != len(prefixes):
         raise ValueError(

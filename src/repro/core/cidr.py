@@ -10,7 +10,7 @@ The scalar block counter :math:`|C_n(S)|` is
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from repro.ipspace.cidr import CIDRBlock
 
 __all__ = [
     "PREFIX_RANGE",
+    "prefix_tuple",
     "cidr_set",
     "cidr_blocks",
     "block_counts",
@@ -33,6 +34,18 @@ __all__ = [
 #: following Collins & Reiter's observation that shorter prefixes are too
 #: imprecise for filtering.
 PREFIX_RANGE = range(16, 33)
+
+
+def prefix_tuple(prefixes: Iterable[int]) -> Tuple[int, ...]:
+    """The prefix lengths a paper test runs at, as a tuple.
+
+    An empty sequence raises ``ValueError``: a test at no prefix would
+    hold vacuously.
+    """
+    prefixes = tuple(prefixes)
+    if not prefixes:
+        raise ValueError("at least one prefix length is required")
+    return prefixes
 
 
 def cidr_set(report: Report, prefix_len: int) -> np.ndarray:

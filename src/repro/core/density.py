@@ -171,7 +171,7 @@ def density_test(
     estimate (Fig. 2); the naive distribution is extremely narrow, so a
     small ``naive_subsets`` suffices.
     """
-    prefixes = tuple(prefixes)
+    prefixes = rcidr.prefix_tuple(prefixes)
     size = len(unclean)
     if size == 0:
         raise ValueError("cannot run a density test on an empty report")

@@ -197,7 +197,7 @@ def prediction_test(
     draws, where each control subset has the cardinality of ``past``
     (the equal-cardinality condition of Eq. 5).
     """
-    prefixes = tuple(prefixes)
+    prefixes = rcidr.prefix_tuple(prefixes)
     size = len(past)
     if size == 0:
         raise ValueError("cannot run a prediction test with an empty past report")

@@ -206,7 +206,7 @@ def evaluate_predictor(
         raise ValueError(
             f"predictor {predictor.name!r} must be fitted before evaluation"
         )
-    prefixes = tuple(prefixes)
+    prefixes = rcidr.prefix_tuple(prefixes)
     present_blocks = tuple(rcidr.cidr_set(present, n) for n in prefixes)
     if control_values is None:
         control_values = control_intersection_distribution(
@@ -276,7 +276,7 @@ def compare_predictors(
     names = [p.name for p in predictors]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate predictor names in comparison: {names}")
-    prefixes = tuple(prefixes)
+    prefixes = rcidr.prefix_tuple(prefixes)
     present_blocks = tuple(rcidr.cidr_set(present, n) for n in prefixes)
     shared: Dict[int, Dict[int, np.ndarray]] = {}
     evaluations = []

@@ -9,8 +9,7 @@ dimension (the scorer counts *addresses* per class, exactly as §7
 describes); reports with no data class contribute under their own tag
 with weight 1.  Because the delegation is total, the adapter's scores
 are bit-identical to calling the scorer directly — pinned by the
-equivalence tests and the <5% overhead guard in
-``benchmarks/bench_predictors.py``.
+equivalence tests in ``tests/test_predict_models.py``.
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@
   call), ``scores_at`` answers a whole address array with one
   vectorised search, and ``top_blocks`` reads the score table; every
   single lookup records its latency to the ``stream.lookup.seconds``
-  histogram that ``benchmarks/bench_stream.py`` holds to a
-  sub-millisecond p99.
+  histogram.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import api
 from repro.api import (
     BlockingResult,
     DensityResult,
@@ -17,6 +18,9 @@ from repro.api import (
     evaluate,
     run_scenario,
 )
+from repro.core.blocking import blocking_test_blocks
+from repro.core.density import density_test
+from repro.core.prediction import prediction_test
 from repro.core.scenario import PaperScenario, ScenarioConfig
 
 
@@ -122,6 +126,64 @@ def test_rng_and_seed_are_mutually_exclusive(small_scenario):
     ).run()
     with pytest.raises(ValueError, match="rng or seed"):
         fleet_density_test(fleet, rng=np.random.default_rng(0), seed=1)
+
+
+@pytest.fixture(scope="module")
+def synthetic_fleet():
+    from repro.fleet import (
+        FleetSupervisor,
+        heterogeneous_fleet,
+        synthetic_reports,
+    )
+
+    return FleetSupervisor(
+        heterogeneous_fleet(2, seed=7, small=True),
+        runner=synthetic_reports,
+        checkpoint=False,
+    ).run()
+
+
+#: Every paper-test entry point, as call(scenario, fleet, rng) with
+#: ``prefixes=()``.
+EMPTY_PREFIX_CALLS = {
+    "density_test": lambda sc, fleet, rng: density_test(
+        sc.bot, sc.control, rng, prefixes=()
+    ),
+    "prediction_test": lambda sc, fleet, rng: prediction_test(
+        sc.bot_test, sc.bot, sc.control, rng, prefixes=()
+    ),
+    "blocking_test_blocks": lambda sc, fleet, rng: blocking_test_blocks(
+        sc.partition, [], ()
+    ),
+    "compare": lambda sc, fleet, rng: api.compare(
+        sc, ["uncleanliness"], rng=rng, prefixes=()
+    ),
+    "fleet_density_test": lambda sc, fleet, rng: api.fleet_density_test(
+        fleet, rng=rng, prefixes=()
+    ),
+    "fleet_prediction_test": lambda sc, fleet, rng: api.fleet_prediction_test(
+        fleet, "net-a", rng=rng, prefixes=()
+    ),
+    **{
+        f"evaluate-{metric}": lambda sc, fleet, rng, metric=metric: evaluate(
+            sc, metric=metric, rng=rng, prefixes=()
+        )
+        for metric in ("density", "prediction", "blocking", "all")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_PREFIX_CALLS))
+def test_empty_prefix_set_is_rejected_before_any_draw(
+    small_scenario, synthetic_fleet, name
+):
+    """A paper test at no prefix length would hold vacuously; every
+    entry point raises instead, and draws no Monte-Carlo subset first."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="prefix length"):
+        EMPTY_PREFIX_CALLS[name](small_scenario, synthetic_fleet, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_prediction_test_facade(small_scenario):

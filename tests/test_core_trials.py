@@ -8,6 +8,8 @@ to the matrix must reproduce the per-trial statistic row for row, and
 :func:`~tests.oracles.run_trials` under equal rng states.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,3 +293,55 @@ class TestNullsMatchOracle:
         assert values.shape == reference.shape
         assert np.array_equal(values, reference)
         assert values.any(), "an all-zero null compares nothing"
+
+
+# -- speed over the per-trial oracle -----------------------------------------
+
+
+class TestKernelSpeed:
+    """``monte_carlo`` with a kernel runs at least 3x the trials per
+    second of :func:`~tests.oracles.run_trials`, for the density and the
+    prediction statistic: 100 kernel trials against 25 oracle trials of
+    500-address subsets of a 60k-address control, all 17 prefixes."""
+
+    FLOOR = 3.0
+    PREFIXES = tuple(rcidr.PREFIX_RANGE)
+
+    @pytest.fixture(scope="class")
+    def statistics(self):
+        """name -> (control, kernel, per-trial oracle)."""
+        rng = np.random.default_rng(0x7219)
+        control = Report.from_addresses(
+            "control",
+            np.unique(rng.integers(0, 2**32, size=60_000, dtype=np.uint32)),
+        )
+        present = Report.from_addresses("present", control.addresses[::7])
+        present_blocks = block_sets(present, self.PREFIXES)
+        return control, {
+            "density": (
+                lambda trials: block_counts_2d(trials, self.PREFIXES),
+                lambda subset: block_count_vector(subset, self.PREFIXES),
+            ),
+            "prediction": (
+                lambda trials: intersection_counts_2d(
+                    trials, present_blocks, self.PREFIXES
+                ),
+                lambda subset: intersection_vector(
+                    subset, present_blocks, self.PREFIXES
+                ),
+            ),
+        }
+
+    @staticmethod
+    def trials_per_second(run, control, trials, statistic):
+        start = time.perf_counter()
+        run(control, 500, trials, np.random.default_rng(42), statistic)
+        return trials / (time.perf_counter() - start)
+
+    @pytest.mark.parametrize("name", ["density", "prediction"])
+    def test_kernel_outpaces_per_trial_oracle(self, statistics, name):
+        control, by_name = statistics
+        kernel, per_trial = by_name[name]
+        oracle_rate = self.trials_per_second(run_trials, control, 25, per_trial)
+        kernel_rate = self.trials_per_second(monte_carlo, control, 100, kernel)
+        assert kernel_rate >= self.FLOOR * oracle_rate

@@ -113,6 +113,25 @@ class TestReconnaissance:
             as_int("66.6.6.6")
         ]
 
+    def test_bulk_sweeps_of_a_capture_flag_every_querier(self, tiny_traffic):
+        """``query_many`` over every source of a border capture feeds the
+        recon sweep: each querier that looked up the later-hostile slow
+        scanners among them is flagged."""
+        hostile = Report.from_addresses(
+            "hostile", tiny_traffic.ground_truth("slow_scanners")
+        )
+        blocklist = Blocklist()
+        blocklist.add_report(hostile, day=0)
+        server = DNSBLServer(blocklist)
+        subjects = tiny_traffic.flows.unique_sources()
+        queriers = [(1 << 24) + 97 * index for index in range(8)]
+        for querier in queriers:
+            server.query_many(querier, subjects, day=5)
+        flagged = server.reconnaissance_queriers(
+            hostile, min_hits=2, min_hit_fraction=0.01
+        )
+        assert flagged == queriers
+
     def test_parameter_validation(self, server):
         future = Report.from_addresses("hostile", ["1.0.0.1"])
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Unit tests for the hourly fan-out scan detector."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,34 @@ class TestEdgeCases:
             (7, 999, ACKED, 7200.0 + 100 + t) for t in range(31)
         ]
         assert ScanDetector().detect(build_log(entries)).size == 0
+
+
+#: The kernel must stay at least this many times faster than the
+#: row-table reference on the small scenario's October log.
+SPEEDUP_FLOOR = 1.2
+
+
+def best_of_3(fn):
+    """Best wall-clock of three runs; returns (seconds, result)."""
+    best, result = float("inf"), None
+    for _ in range(3):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+class TestKernelSpeed:
+    def test_kernel_outpaces_reference_on_small_scenario(self, small_scenario):
+        flows = small_scenario.october_traffic.flows
+        detector = ScanDetector()
+        kernel_s, detected = best_of_3(lambda: detector.detect(flows))
+        reference_s, expected = best_of_3(
+            lambda: scan_detect_reference(detector.config, flows)
+        )
+        np.testing.assert_array_equal(detected, expected)
+        assert detected.size > 0
+        assert reference_s / kernel_s >= SPEEDUP_FLOOR
 
 
 class TestConfig:

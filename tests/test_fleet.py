@@ -226,6 +226,9 @@ class TestFailureIsolation:
         outcome = result.outcome("net-b")
         assert outcome.attempts == config.max_retries + 1
         assert "offline" in outcome.error
+        # The dead member's retries are its own: every healthy shard
+        # delivered on its first attempt.
+        assert [result.outcome(name).attempts for name in result.ok] == [1, 1]
 
     def test_degraded_manifest_names_the_shard(self):
         result = run_synthetic(small_fleet(3, backoff=0.0), runner=_failing_runner)

@@ -170,7 +170,11 @@ class TestWorkerCrash:
     ):
         monkeypatch.setenv("REPRO_TEST_CRASH_DIR", str(tmp_path))
         obs_metrics.reset()
-        config = small_fleet(3, workers=2)
+        # A crash breaks the pool for every shard still queued, so a
+        # shard's first (crashing) attempt can slip to a later round.
+        # In the worst case one first attempt crashes per round: three
+        # shards then need four rounds, so max_retries is the shard count.
+        config = small_fleet(3, workers=2, max_retries=3)
         result = FleetSupervisor(
             config, runner=_crash_once_runner, checkpoint=False
         ).run()

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
+from repro.detect.scan import ScanDetector
+from repro.detect.trw import TRWDetector
+from repro.flows.generator import TrafficConfig, TrafficGenerator
 from repro.obs import trace
+from repro.sim.timeline import PAPER_WINDOWS, Window
 
 
 @pytest.fixture
@@ -115,3 +120,29 @@ def test_disabled_span_cost_is_tiny():
     finally:
         trace.set_tracer(previous)
     assert per_call < 2e-6
+
+
+def count_spans(span) -> int:
+    return 1 + sum(count_spans(child) for child in span.children)
+
+
+def test_span_count_does_not_grow_with_flows(tracer, tiny_internet, tiny_botnet):
+    """Spans mark stages, never flows or sources: one generate + scan +
+    TRW pass records as many spans over one day as over the October
+    window of the same world, so the enabled tracer's cost is fixed."""
+    generator = TrafficGenerator(
+        tiny_internet,
+        tiny_botnet,
+        TrafficConfig(benign_clients_per_day=40, suspicious_hosts=120),
+    )
+    october = PAPER_WINDOWS.OCTOBER
+    flows, spans = [], []
+    for window in (Window(october.start_day, october.start_day), october):
+        tracer.clear()
+        traffic = generator.generate(window, np.random.default_rng(9))
+        ScanDetector().detect(traffic.flows)
+        TRWDetector().detect(traffic.flows)
+        flows.append(len(traffic.flows))
+        spans.append(sum(count_spans(root) for root in tracer.roots))
+    assert flows[0] < flows[1]
+    assert spans[0] == spans[1] > 0

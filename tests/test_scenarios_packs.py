@@ -108,6 +108,16 @@ class TestEndToEnd:
         api.run_pack("dhcp-churn", small=True).scenario.reports
         assert engine.build_counts == before
 
+    def test_identity_pack_resolves_warm_with_zero_builds(self):
+        from repro.core.scenario import PaperScenario
+        from repro.core.stages import scenario_engine
+
+        PaperScenario(ScenarioConfig.small()).reports
+        engine = scenario_engine()
+        before = dict(engine.build_counts)
+        PaperScenario(get_pack("paper-default").build(small=True)).reports
+        assert engine.build_counts == before
+
     def test_evaluate_pack_keyword(self):
         # pack= over the default base matches run_pack explicitly.
         direct = api.evaluate(

@@ -16,6 +16,8 @@ from repro import api
 from repro.cli import main
 from repro.core import folds
 from repro.core.report import DataClass, Report, ReportType
+from repro.detect.scan import ScanDetector
+from repro.detect.spam import SpamAggregates
 from repro.engine.store import ArrayCodec, ArtifactStore
 from repro.ipspace.intervals import IntervalIndex
 from repro.obs import metrics as obs_metrics
@@ -397,6 +399,37 @@ class TestSingleLookups:
         monkeypatch.setattr(IntervalIndex, "values_at", batch_only)
         assert [(service.score(p), service.is_blocked(p)) for p in probes] == expected
         assert expected[1][1] is True and expected[2] == (0.0, False)
+
+
+class TestDayFold:
+    def test_each_day_runs_the_detectors_once_over_its_own_flows(
+        self, small_scenario, stream_config, monkeypatch
+    ):
+        """A day's ingest costs one scan and one spam pass over that
+        day's flows, never a rebuild over the window so far."""
+        seen = {"scan": [], "spam": []}
+        detect = ScanDetector.detect
+        from_flows = SpamAggregates.from_flows.__func__
+
+        def spy_detect(self, flows):
+            seen["scan"].append(len(flows))
+            return detect(self, flows)
+
+        def spy_from_flows(cls, flows):
+            seen["spam"].append(len(flows))
+            return from_flows(cls, flows)
+
+        monkeypatch.setattr(ScanDetector, "detect", spy_detect)
+        monkeypatch.setattr(
+            SpamAggregates, "from_flows", classmethod(spy_from_flows)
+        )
+        service = UncleanlinessService(stream_config, checkpointing=False)
+        sizes = []
+        for batch in day_batches(small_scenario.october_traffic):
+            service.ingest(batch)
+            sizes.append(len(batch.flows))
+        assert len(sizes) == stream_config.window.num_days
+        assert seen == {"scan": sizes, "spam": sizes}
 
 
 class TestLRUCache:
