@@ -65,7 +65,7 @@ from repro.api import (
 )
 from repro.core.report import Report
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "__version__",

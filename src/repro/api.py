@@ -860,7 +860,6 @@ def stream_service(
     prefix_len: int = 24,
     threshold: float = 0.5,
     warm: bool = True,
-    checkpointing: bool = True,
 ) -> UncleanlinessService:
     """The streaming uncleanliness service for a scenario's traffic.
 
@@ -869,7 +868,7 @@ def stream_service(
     service always answers for the scenario's full window.  Services
     are shared per stream fingerprint, so repeated calls — and the
     :func:`score` / :func:`is_blocked` / :func:`top_blocks` one-liners —
-    reuse the warm index.
+    reuse the warm score table.
     """
     if scenario is None and (small or seed is not None):
         scenario = run_scenario(small=small, seed=seed)
@@ -881,9 +880,7 @@ def stream_service(
     with obs_trace.span("api.stream_service", source=source):
         service = _SERVICES.get(stream_fingerprint(config, source))
         if service is None:
-            service = UncleanlinessService.resume(
-                config, source=source, checkpointing=checkpointing
-            )
+            service = UncleanlinessService.resume(config, source=source)
             _SERVICES.put(service.fingerprint, service)
         if warm:
             for batch in pending_batches(service, sc):

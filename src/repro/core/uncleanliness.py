@@ -15,7 +15,9 @@ visible so that bot-like and phishing-like uncleanliness can be weighted
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -23,8 +25,8 @@ import numpy as np
 
 from repro.core import cidr as rcidr
 from repro.core.report import Report
-from repro.ipspace.addr import AddressLike
-from repro.ipspace.cidr import CIDRBlock, mask_address, mask_array
+from repro.ipspace.addr import AddressLike, as_array, as_int, prefix_mask
+from repro.ipspace.cidr import CIDRBlock, mask_array
 from repro.ipspace.kernels import merge_unique
 
 __all__ = [
@@ -51,28 +53,97 @@ DEFAULT_WEIGHTS: Mapping[str, float] = MappingProxyType(
 
 @dataclass(frozen=True)
 class BlockScores:
-    """Scored CIDR blocks: one row per block seen in any input report."""
+    """Scored CIDR blocks at one prefix length: the §7 score table.
+
+    ``blocks`` is a strictly increasing ``uint32`` array of
+    ``/prefix_len`` network addresses and ``scores`` the aligned
+    ``float64`` scores in ``[0, 1]``; both are read-only.
+    ``class_counts`` holds the aligned per-class address counts (empty
+    for models without per-class evidence).  Every address lookup runs
+    one of two searches: :meth:`scores_of` for an array, ``_row`` — one
+    :func:`bisect.bisect_left` over list views of ``blocks`` and
+    ``scores``, built on the first single lookup — for one address.
+    """
 
     prefix_len: int
-    blocks: np.ndarray  # sorted masked network ints
-    class_counts: Dict[str, np.ndarray]  # per-class address counts per block
-    scores: np.ndarray  # aggregate score per block, in [0, 1]
+    blocks: np.ndarray
+    class_counts: Dict[str, np.ndarray]
+    scores: np.ndarray
+
+    def __post_init__(self) -> None:
+        mask = np.uint32(prefix_mask(self.prefix_len))
+        blocks = as_array(self.blocks)
+        scores = np.asarray(self.scores, dtype=np.float64)
+        if blocks.shape != scores.shape or blocks.ndim != 1:
+            raise ValueError(
+                f"blocks {blocks.shape} and scores {scores.shape} must be "
+                "aligned 1-D arrays"
+            )
+        if np.any(blocks[1:] <= blocks[:-1]):
+            raise ValueError("blocks must be strictly increasing")
+        if np.any(blocks & mask != blocks):
+            raise ValueError(f"blocks are not /{self.prefix_len} network addresses")
+        for name, column in self.class_counts.items():
+            if np.shape(column) != blocks.shape:
+                raise ValueError(f"{name!r} counts are not aligned with blocks")
+        blocks.setflags(write=False)
+        scores.setflags(write=False)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "scores", scores)
+
+    # -- lookups ----------------------------------------------------------
+
+    @cached_property
+    def _views(self) -> Tuple[int, List[int], List[float]]:
+        # Built on the first single lookup, not at construction: the
+        # stream's checkpoint snapshots hold tables that never serve a
+        # lookup, so only the live table pays for these.
+        return prefix_mask(self.prefix_len), self.blocks.tolist(), self.scores.tolist()
+
+    def _row(self, address: AddressLike) -> int:
+        """Row of the block containing ``address``, or -1 if unscored."""
+        net = as_int(address)
+        mask, blocks, _ = self._views
+        net &= mask
+        row = bisect_left(blocks, net)
+        return row if row < len(blocks) and blocks[row] == net else -1
 
     def score_of(self, address: AddressLike) -> float:
         """Aggregate score of the block containing ``address`` (0 if unseen)."""
-        net = np.uint32(mask_address(address, self.prefix_len))
-        idx = int(np.searchsorted(self.blocks, net))
-        if idx < self.blocks.size and self.blocks[idx] == net:
-            return float(self.scores[idx])
-        return 0.0
+        row = self._row(address)
+        return self._views[2][row] if row >= 0 else 0.0
+
+    def scores_of(self, addresses) -> np.ndarray:
+        """Vectorised :meth:`score_of`: one ``float64`` per address."""
+        nets = mask_array(addresses, self.prefix_len)
+        out = np.zeros(nets.shape, dtype=np.float64)
+        if self.blocks.size:
+            rows = np.minimum(np.searchsorted(self.blocks, nets), self.blocks.size - 1)
+            hit = self.blocks[rows] == nets
+            out[hit] = self.scores[rows[hit]]
+        return out
+
+    def in_blocklist(self, address: AddressLike, threshold: float) -> bool:
+        """Whether ``address`` lies in :meth:`blocklist` ``(threshold)``:
+        in a scored block whose score is ``>= threshold``."""
+        row = self._row(address)
+        return row >= 0 and self._views[2][row] >= threshold
 
     def dimensions_of(self, address: AddressLike) -> Dict[str, int]:
         """Per-class address counts for the block containing ``address``."""
-        net = np.uint32(mask_address(address, self.prefix_len))
-        idx = int(np.searchsorted(self.blocks, net))
-        if idx < self.blocks.size and self.blocks[idx] == net:
-            return {cls: int(col[idx]) for cls, col in self.class_counts.items()}
-        return {cls: 0 for cls in self.class_counts}
+        row = self._row(address)
+        return {
+            cls: int(col[row]) if row >= 0 else 0
+            for cls, col in self.class_counts.items()
+        }
+
+    # -- ordering ---------------------------------------------------------
+
+    def ranked_blocks(self, count: Optional[int] = None) -> np.ndarray:
+        """The blocks best first (score descending, ties by ascending
+        block), optionally truncated to ``count``."""
+        ranked = self.blocks[np.lexsort((self.blocks, -self.scores))]
+        return ranked if count is None else ranked[: max(int(count), 0)]
 
     def top(self, count: int) -> List[dict]:
         """The ``count`` most unclean blocks, with per-class evidence."""

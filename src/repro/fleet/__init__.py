@@ -31,7 +31,6 @@ from repro.fleet.supervisor import (
     delivery_checksum,
     reports_as_of,
     scenario_reports,
-    synthetic_reports,
 )
 
 __all__ = [
@@ -51,5 +50,4 @@ __all__ = [
     "delivery_checksum",
     "reports_as_of",
     "scenario_reports",
-    "synthetic_reports",
 ]

@@ -49,7 +49,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.report import DataClass, Report, ReportType
+from repro.core.report import Report, ReportType
 from repro.engine import faults
 from repro.engine.store import (
     MISS,
@@ -73,7 +73,6 @@ __all__ = [
     "FleetSupervisor",
     "delivery_checksum",
     "scenario_reports",
-    "synthetic_reports",
 ]
 
 #: A shard runner: ``(shard, feed_tags) -> {tag: Report}``.  Must be a
@@ -156,35 +155,6 @@ def _restrict_to_vantage(report: Report, vantage16: np.ndarray) -> Report:
         data_class=report.data_class,
         period=report.period,
     )
-
-
-def synthetic_reports(
-    shard: NetworkShard, feed_tags: Tuple[str, ...]
-) -> Dict[str, Report]:
-    """A cheap deterministic runner for chaos tests and benchmarks.
-
-    Pure function of the shard's seed — the same determinism contract
-    as :func:`scenario_reports` at a millionth of the cost.
-    """
-    from repro.core import folds
-    from repro.sim.timeline import PAPER_WINDOWS
-
-    rng = np.random.default_rng(shard.config.seed)
-    period = PAPER_WINDOWS.OCTOBER.dates()
-    out: Dict[str, Report] = {}
-    for tag in feed_tags:
-        size = 4096 if tag == "control" else 256
-        addresses = np.unique(
-            rng.integers(1 << 24, 1 << 31, size=size, dtype=np.uint32)
-        )
-        out[tag] = Report(
-            tag=tag,
-            addresses=addresses,
-            report_type=ReportType.PROVIDED,
-            data_class=folds.CLASS_OF_TAG.get(tag, DataClass.NONE),
-            period=period,
-        )
-    return out
 
 
 def _tampered(delivery: "ShardDelivery") -> "ShardDelivery":

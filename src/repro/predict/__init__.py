@@ -31,12 +31,7 @@ from repro.predict.evaluate import (
     evaluate_predictor,
 )
 from repro.predict.graphcluster import GraphClusterPredictor
-from repro.predict.protocol import (
-    BasePredictor,
-    BlockRanking,
-    NotFittedError,
-    Predictor,
-)
+from repro.predict.protocol import BasePredictor, NotFittedError, Predictor
 from repro.predict.recommender import RecommenderPredictor
 from repro.predict.registry import (
     DEFAULT_PREDICTORS,
@@ -50,7 +45,6 @@ from repro.predict.uncleanliness import UncleanlinessPredictor
 __all__ = [
     "Predictor",
     "BasePredictor",
-    "BlockRanking",
     "NotFittedError",
     "UncleanlinessPredictor",
     "RecommenderPredictor",

@@ -235,11 +235,11 @@ def evaluate_predictor(
             _predicted_blocks(predictor, blocking_prefixes),
             blocking_prefixes,
         )
-        ranking = predictor.score_blocks(ROC_PREFIX)
+        table = predictor.score_blocks(ROC_PREFIX)
         if len(partition.hostile) and len(partition.innocent):
             roc = partition_roc(
-                ranking.scores_of(partition.hostile.addresses),
-                ranking.scores_of(partition.innocent.addresses),
+                table.scores_of(partition.hostile.addresses),
+                table.scores_of(partition.innocent.addresses),
             )
     return ModelEvaluation(
         predictor_name=predictor.name,

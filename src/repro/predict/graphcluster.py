@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.uncleanliness import BlockScores
 from repro.ipspace.addr import block_size
 from repro.ipspace.cidr import mask_array
-from repro.predict.protocol import BasePredictor, BlockRanking
+from repro.predict.protocol import BasePredictor
 
 __all__ = ["GraphClusterPredictor"]
 
@@ -126,12 +127,12 @@ class GraphClusterPredictor(BasePredictor):
         labels[1:] = np.cumsum(boundary)
         return labels
 
-    def _score_blocks(self, prefix_len: int) -> BlockRanking:
+    def _score_blocks(self, prefix_len: int) -> BlockScores:
         blocks, counts = self._block_counts(prefix_len)
         labels = self._cluster(blocks, prefix_len)
         if blocks.size == 0:
-            return BlockRanking(prefix_len=prefix_len, blocks=blocks,
-                                scores=np.zeros(0, dtype=np.float64))
+            return BlockScores(prefix_len=prefix_len, blocks=blocks,
+                               class_counts={}, scores=np.zeros(0))
         starts = np.flatnonzero(np.diff(labels, prepend=-1))
         evidence = np.add.reduceat(np.log1p(counts.astype(np.float64)),
                                    starts)
@@ -140,8 +141,9 @@ class GraphClusterPredictor(BasePredictor):
         cluster_scores = 1.0 - np.exp(-evidence / self.tau)
         weak = (sizes == 1) & (support < self.min_support)
         cluster_scores[weak] *= self.singleton_penalty
-        return BlockRanking(
+        return BlockScores(
             prefix_len=prefix_len,
             blocks=blocks,
+            class_counts={},
             scores=cluster_scores[labels],
         )

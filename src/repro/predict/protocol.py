@@ -9,8 +9,11 @@ fixes the seam: a predictor is anything that
 * ``fit(reports, window)`` — learns from a mapping of tagged past
   :class:`~repro.core.report.Report`\\ s (the training feeds) and an
   optional :class:`~repro.sim.timeline.Window` anchoring "now";
-* ``score_blocks(prefix_len)`` — returns a :class:`BlockRanking`:
-  per-CIDR-block scores in ``[0, 1]`` at any prefix length;
+* ``score_blocks(prefix_len)`` — returns a
+  :class:`~repro.core.uncleanliness.BlockScores`: per-CIDR-block
+  scores in ``[0, 1]`` at any prefix length, the table type the
+  paper's own scorer and the stream serve from (models without
+  per-class evidence leave its ``class_counts`` empty);
 * ``rank(prefix_len, count)`` — the blocks in descending-score order
   (ties broken by ascending block, so rankings are total and
   deterministic);
@@ -29,21 +32,18 @@ the baseline.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Protocol, Tuple, runtime_checkable
+from typing import Dict, Mapping, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
 from repro.core.report import Report
+from repro.core.uncleanliness import BlockScores
 from repro.engine.fingerprint import fingerprint as _fingerprint
-from repro.ipspace.addr import AddressLike
-from repro.ipspace.cidr import CIDRBlock, mask_address
 from repro.sim.timeline import Window, day_to_date
 
 __all__ = [
     "PREDICT_VERSION",
     "NotFittedError",
-    "BlockRanking",
     "Predictor",
     "BasePredictor",
 ]
@@ -57,97 +57,6 @@ class NotFittedError(ValueError):
     """A score/rank call on a predictor that has not been fitted."""
 
 
-@dataclass(frozen=True)
-class BlockRanking:
-    """Per-block scores at one prefix length — a predictor's output.
-
-    ``blocks`` is a sorted ``uint32`` array of masked network addresses
-    and ``scores`` the aligned float scores in ``[0, 1]``.  The ranking
-    order is *total*: descending score, ties broken by ascending block,
-    so two predictors producing the same scores rank identically.
-    """
-
-    prefix_len: int
-    blocks: np.ndarray
-    scores: np.ndarray
-
-    def __post_init__(self) -> None:
-        blocks = np.ascontiguousarray(self.blocks, dtype=np.uint32)
-        scores = np.ascontiguousarray(self.scores, dtype=np.float64)
-        if blocks.shape != scores.shape or blocks.ndim != 1:
-            raise ValueError(
-                f"blocks {blocks.shape} and scores {scores.shape} must be "
-                "aligned 1-D arrays"
-            )
-        if blocks.size and np.any(np.diff(blocks.astype(np.int64)) <= 0):
-            raise ValueError("blocks must be strictly increasing")
-        blocks.setflags(write=False)
-        scores.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "scores", scores)
-
-    def __len__(self) -> int:
-        return int(self.blocks.size)
-
-    # -- lookups ---------------------------------------------------------
-
-    def score_of(self, address: AddressLike) -> float:
-        """Score of the block containing ``address`` (0 if unranked)."""
-        net = np.uint32(mask_address(address, self.prefix_len))
-        idx = int(np.searchsorted(self.blocks, net))
-        if idx < self.blocks.size and self.blocks[idx] == net:
-            return float(self.scores[idx])
-        return 0.0
-
-    def scores_of(self, addresses: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`score_of` over a ``uint32`` address array."""
-        from repro.ipspace.cidr import mask_array
-
-        nets = mask_array(np.asarray(addresses, dtype=np.uint32),
-                          self.prefix_len)
-        idx = np.searchsorted(self.blocks, nets)
-        idx = np.minimum(idx, max(self.blocks.size - 1, 0))
-        out = np.zeros(nets.shape, dtype=np.float64)
-        if self.blocks.size:
-            hit = self.blocks[idx] == nets
-            out[hit] = self.scores[idx[hit]]
-        return out
-
-    # -- ordering --------------------------------------------------------
-
-    def order(self) -> np.ndarray:
-        """Indices into ``blocks`` in ranking order (score desc, block asc)."""
-        return np.lexsort((self.blocks, -self.scores))
-
-    def ranked_blocks(self, count: Optional[int] = None) -> np.ndarray:
-        """The block networks in ranking order, optionally truncated."""
-        ranked = self.blocks[self.order()]
-        if count is not None:
-            ranked = ranked[: max(int(count), 0)]
-        return ranked
-
-    def support(self, min_score: float = 0.0) -> np.ndarray:
-        """Sorted block networks scoring strictly above ``min_score`` —
-        the predicted block *set* the §5/§6 evaluators intersect."""
-        return self.blocks[self.scores > min_score]
-
-    def top(self, count: int) -> List[dict]:
-        """The ``count`` best blocks as display rows."""
-        order = self.order()[: max(int(count), 0)]
-        return [
-            {
-                "block": str(CIDRBlock(int(self.blocks[i]), self.prefix_len)),
-                "score": round(float(self.scores[i]), 4),
-            }
-            for i in order
-        ]
-
-    def blocklist(self, threshold: float) -> List[CIDRBlock]:
-        """Blocks whose score meets ``threshold`` — a deployable list."""
-        chosen = self.blocks[self.scores >= threshold]
-        return [CIDRBlock(int(net), self.prefix_len) for net in chosen]
-
-
 @runtime_checkable
 class Predictor(Protocol):
     """Structural type of a blocklist predictor (see module docstring)."""
@@ -159,7 +68,7 @@ class Predictor(Protocol):
     ) -> "Predictor":  # pragma: no cover - protocol
         ...
 
-    def score_blocks(self, prefix_len: int) -> BlockRanking:  # pragma: no cover
+    def score_blocks(self, prefix_len: int) -> BlockScores:  # pragma: no cover
         ...
 
     def rank(
@@ -185,7 +94,7 @@ class BasePredictor:
     (plain-data hyperparameters — these feed the fingerprint) and
     ``_score_blocks(prefix_len)`` (the model itself, reading
     ``self.training`` / ``self.window``).  The base class owns fit-state
-    validation, per-prefix ranking caching, ranking order and the
+    validation, per-prefix score-table caching, ranking order and the
     content fingerprint, so every model fingerprints and caches the
     same way.
     """
@@ -195,7 +104,7 @@ class BasePredictor:
     def __init__(self) -> None:
         self._training: Optional[Tuple[Tuple[str, Report], ...]] = None
         self._window: Optional[Window] = None
-        self._rankings: Dict[int, BlockRanking] = {}
+        self._tables: Dict[int, BlockScores] = {}
         self._training_addresses: Optional[np.ndarray] = None
 
     # -- subclass surface -------------------------------------------------
@@ -204,7 +113,7 @@ class BasePredictor:
         """Hyperparameters as plain data (fingerprinted)."""
         return {}
 
-    def _score_blocks(self, prefix_len: int) -> BlockRanking:
+    def _score_blocks(self, prefix_len: int) -> BlockScores:
         raise NotImplementedError
 
     # -- protocol ---------------------------------------------------------
@@ -231,7 +140,7 @@ class BasePredictor:
                 raise ValueError(f"training report {tag!r} is empty")
         self._training = tuple(sorted(reports.items()))
         self._window = window
-        self._rankings = {}
+        self._tables = {}
         self._training_addresses = None
         return self
 
@@ -266,16 +175,16 @@ class BasePredictor:
     def training_cardinality(self) -> int:
         return int(self.training_addresses.size)
 
-    def score_blocks(self, prefix_len: int) -> BlockRanking:
+    def score_blocks(self, prefix_len: int) -> BlockScores:
         """Per-block scores at ``prefix_len`` (cached per prefix)."""
         self._require_fitted()
         if not 0 <= prefix_len <= 32:
             raise ValueError(f"prefix length out of range: {prefix_len}")
-        ranking = self._rankings.get(prefix_len)
-        if ranking is None:
-            ranking = self._score_blocks(prefix_len)
-            self._rankings[prefix_len] = ranking
-        return ranking
+        table = self._tables.get(prefix_len)
+        if table is None:
+            table = self._score_blocks(prefix_len)
+            self._tables[prefix_len] = table
+        return table
 
     def rank(
         self, prefix_len: int = 24, count: Optional[int] = None

@@ -46,9 +46,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.uncleanliness import BlockScores
 from repro.ipspace.addr import block_size
 from repro.ipspace.cidr import mask_array
-from repro.predict.protocol import BasePredictor, BlockRanking
+from repro.predict.protocol import BasePredictor
 
 __all__ = ["RecommenderPredictor"]
 
@@ -209,7 +210,7 @@ class RecommenderPredictor(BasePredictor):
         order = np.argsort(merged_blocks, kind="stable")
         return merged_blocks[order], merged_intensity[order]
 
-    def _score_blocks(self, prefix_len: int) -> BlockRanking:
+    def _score_blocks(self, prefix_len: int) -> BlockScores:
         blocks, matrix = self._intensity_matrix(prefix_len)
         # Neighborhood blend: each feed mixed with its cosine neighbors,
         # then summed into one global intensity per block.
@@ -221,6 +222,6 @@ class RecommenderPredictor(BasePredictor):
         intensity = self._smooth_spatial(blocks, intensity, prefix_len)
         blocks, intensity = self._expand_adjacent(blocks, intensity, prefix_len)
         scores = 1.0 - np.exp(-intensity / _EVIDENCE_SCALE)
-        return BlockRanking(
-            prefix_len=prefix_len, blocks=blocks, scores=scores
+        return BlockScores(
+            prefix_len=prefix_len, blocks=blocks, class_counts={}, scores=scores
         )

@@ -7,8 +7,9 @@ class-keyed input.  Reports sharing a
 :class:`~repro.core.report.DataClass` are unioned into one evidence
 dimension (the scorer counts *addresses* per class, exactly as §7
 describes); reports with no data class contribute under their own tag
-with weight 1.  Because the delegation is total, the adapter's scores
-are bit-identical to calling the scorer directly — pinned by the
+with weight 1.  The adapter returns the scorer's own
+:class:`~repro.core.uncleanliness.BlockScores`, so its scores are
+bit-identical to calling the scorer directly — pinned by the
 equivalence tests in ``tests/test_predict_models.py``.
 """
 
@@ -17,8 +18,8 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional
 
 from repro.core.report import DataClass, Report
-from repro.core.uncleanliness import DEFAULT_WEIGHTS, UncleanlinessScorer
-from repro.predict.protocol import BasePredictor, BlockRanking
+from repro.core.uncleanliness import DEFAULT_WEIGHTS, BlockScores, UncleanlinessScorer
+from repro.predict.protocol import BasePredictor
 
 __all__ = ["UncleanlinessPredictor"]
 
@@ -73,15 +74,10 @@ class UncleanlinessPredictor(BasePredictor):
             base.setdefault(cls, 1.0)
         return base
 
-    def _score_blocks(self, prefix_len: int) -> BlockRanking:
+    def _score_blocks(self, prefix_len: int) -> BlockScores:
         reports = self._class_reports()
         scorer = UncleanlinessScorer(
             prefix_len=prefix_len,
             weights=self._effective_weights(reports),
         )
-        scored = scorer.score(reports)
-        return BlockRanking(
-            prefix_len=prefix_len,
-            blocks=scored.blocks,
-            scores=scored.scores,
-        )
+        return scorer.score(reports)

@@ -21,7 +21,7 @@ rebuild:
 ``repro.stream.service``
     :class:`UncleanlinessService`: ingest + checkpointing + the
     low-latency query surface (``score``, ``is_blocked``,
-    ``top_blocks``) over a precomputed interval index.
+    ``top_blocks``) over the day's score table.
 
 The supported entry points are :func:`repro.api.stream_service`,
 :func:`repro.api.score`, :func:`repro.api.is_blocked`,

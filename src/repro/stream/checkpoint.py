@@ -3,9 +3,8 @@
 A checkpoint stores only the state the fold cannot recompute: one
 ``addresses:<tag>`` array per report set, the six ``spam:*`` arrays of
 the running spam aggregate, and the cursor and report metadata in the
-sidecar.  Scores, blocklist, interval indexes, R_unclean and its
-density counts are deterministic functions of those and are rebuilt on
-load.  Checkpoints written by 4.x also carry ``unclean``, ``class:*``
+sidecar.  Scores, blocklist, R_unclean and its density counts are
+deterministic functions of those and are rebuilt on load.  Checkpoints written by 4.x also carry ``unclean``, ``class:*``
 and ``prefix:*`` arrays; loading ignores them, so such a checkpoint
 resumes without its counters ever being trusted.  One checkpoint is
 written per ingested day under

@@ -8,13 +8,13 @@
 * **resume** — :meth:`UncleanlinessService.resume` reconstructs the
   newest committed state for a ``(stream config, source)`` pair, or
   starts cold when there is none;
-* a **low-latency query surface** — ``score`` and ``is_blocked``
-  answer from the precomputed interval indexes with one
-  :func:`bisect.bisect_right` per lookup (no report scans, no NumPy
-  call), ``scores_at`` answers a whole address array with one
-  vectorised search, and ``top_blocks`` reads the score table; every
-  single lookup records its latency to the ``stream.lookup.seconds``
-  histogram.
+* a **low-latency query surface** — every query reads the day's
+  :class:`~repro.core.uncleanliness.BlockScores`: ``score`` and
+  ``is_blocked`` run one :func:`bisect.bisect_left` per lookup (no
+  report scans, no NumPy call), ``scores_at`` answers a whole address
+  array with one vectorised search, and ``top_blocks`` ranks the
+  table; every single lookup records its latency to the
+  ``stream.lookup.seconds`` histogram.
 """
 
 from __future__ import annotations
@@ -143,14 +143,14 @@ class UncleanlinessService:
         """Uncleanliness score of the block containing ``address``
         (0.0 for blocks never reported)."""
         began = time.perf_counter()
-        value = self.state.score_index.value_of(address, default=0.0)
+        value = self.state.scores().score_of(address)
         self._observe_lookup(began)
         return value
 
     def is_blocked(self, address: AddressLike) -> bool:
         """Whether ``address`` falls inside the current blocklist."""
         began = time.perf_counter()
-        verdict = self.state.block_index.contains(address)
+        verdict = self.state.scores().in_blocklist(address, self.config.threshold)
         self._observe_lookup(began)
         return verdict
 
@@ -163,7 +163,7 @@ class UncleanlinessService:
 
     def scores_at(self, addresses: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`score` over an address array."""
-        return self.state.score_index.values_at(addresses, default=0.0)
+        return self.state.scores().scores_of(addresses)
 
     def scores(self) -> BlockScores:
         return self.state.scores()

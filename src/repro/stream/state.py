@@ -16,7 +16,7 @@ noisy-OR score table is rebuilt from the bot, scan, spam and phish sets
 with :meth:`BlockScores.from_addresses` — the counting and scoring code
 :meth:`UncleanlinessScorer.score` runs, fed the classes in the fixed
 :data:`repro.core.folds.CLASS_ORDER` — together with the threshold
-blocklist and the interval indexes serving the low-latency query
+blocklist array.  The table itself serves the low-latency query
 surface.  R_unclean (``report("unclean")``) and its §4 density counts
 (``block_counts``) are computed on demand as the union of the current
 sets.
@@ -30,7 +30,7 @@ path bit for bit (``tests/test_stream_replay.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Tuple
 
 import numpy as np
@@ -42,7 +42,6 @@ from repro.core.report import DataClass, Report, ReportType
 from repro.core.uncleanliness import BlockScores
 from repro.detect.scan import ScanDetector, ScanDetectorConfig
 from repro.detect.spam import SpamAggregates, SpamDetectorConfig
-from repro.ipspace.intervals import IntervalIndex
 from repro.ipspace.kernels import merge_unique
 from repro.obs import metrics as obs_metrics
 from repro.sim.timeline import Window
@@ -192,7 +191,7 @@ class IncrementalState:
         retracted = int(np.setdiff1d(spam_before, spam_now).size)
         self._addresses["spam"] = spam_now
 
-        # 4. Derived views: scores, blocklist, interval indexes.
+        # 4. Derived views: score table and blocklist.
         self._rebuild_derived()
 
         self.cursor = day
@@ -211,7 +210,7 @@ class IncrementalState:
         return delta
 
     def _rebuild_derived(self) -> None:
-        """Recompute scores/blocklist/indexes from the report sets.
+        """Recompute the score table and blocklist from the report sets.
 
         The score table comes from :meth:`BlockScores.from_addresses`,
         the code :meth:`UncleanlinessScorer.score` runs, fed the class
@@ -229,13 +228,6 @@ class IncrementalState:
             dict(self.config.weights),
         )
         self._blocklist = folds.blocklist_networks(self._scores, self.config.threshold)
-        self._score_index = IntervalIndex.from_blocks(
-            self._scores.blocks, self.config.prefix_len,
-            values=self._scores.scores,
-        )
-        self._block_index = IntervalIndex.from_blocks(
-            self._blocklist, self.config.prefix_len
-        )
 
     def _record_metrics(self, delta: IngestDelta) -> None:
         obs_metrics.inc("stream.ingest.days")
@@ -255,11 +247,11 @@ class IncrementalState:
         memory tier keeps objects by reference, and ingest replaces the
         entries of the report-set and metadata dicts in place, so an
         aliased checkpoint would silently advance past the day it claims
-        to commit.  The report arrays and the spam aggregate themselves
-        are never mutated (merges replace them), so those are shared.
-        The copy builds its own derived views: the live interval indexes
-        grow lazily built lookup views, which every snapshot the memory
-        tier keeps would otherwise hold on to.
+        to commit.  The report arrays, the spam aggregate and the score
+        table's arrays are never mutated (merges and rebuilds replace
+        them), so those are shared.  The score table object is not: the
+        live one grows lazily built lookup views, which every snapshot
+        the memory tier keeps would otherwise hold on to.
         """
         clone = IncrementalState.__new__(IncrementalState)
         clone.config = self.config
@@ -269,7 +261,8 @@ class IncrementalState:
         clone._addresses = dict(self._addresses)
         clone._meta = dict(self._meta)
         clone._spam = self._spam
-        clone._rebuild_derived()
+        clone._scores = replace(self._scores)
+        clone._blocklist = self._blocklist
         return clone
 
     # -- query surface -----------------------------------------------------
@@ -317,16 +310,6 @@ class IncrementalState:
     def blocklist(self) -> np.ndarray:
         """Sorted masked networks at or above the score threshold."""
         return self._blocklist
-
-    @property
-    def score_index(self) -> IntervalIndex:
-        """Interval index over all scored blocks, valued by score."""
-        return self._score_index
-
-    @property
-    def block_index(self) -> IntervalIndex:
-        """Interval index over the current blocklist."""
-        return self._block_index
 
     def block_counts(self) -> Dict[int, int]:
         """``{prefix_len: |C_n(R_unclean)|}`` — the §4 density counts."""

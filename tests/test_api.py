@@ -32,7 +32,7 @@ def test_acceptance_import_line():
 def test_top_level_reexports_facade_only():
     assert repro.run_scenario is run_scenario
     assert repro.evaluate is evaluate
-    assert repro.__version__ == "5.0.0"
+    assert repro.__version__ == "6.0.0"
     for name in repro.__all__:
         assert getattr(repro, name) is not None, name
 
@@ -107,11 +107,8 @@ def test_density_test_accepts_every_scenario_form(small_scenario):
 
 def test_rng_and_seed_are_mutually_exclusive(small_scenario):
     from repro.api import fleet_density_test
-    from repro.fleet import (
-        FleetSupervisor,
-        heterogeneous_fleet,
-        synthetic_reports,
-    )
+    from repro.fleet import FleetSupervisor, heterogeneous_fleet
+    from tests.fleet_runners import synthetic_reports
 
     run = run_scenario(small=True)
     with pytest.raises(ValueError, match="rng or seed"):
@@ -130,11 +127,8 @@ def test_rng_and_seed_are_mutually_exclusive(small_scenario):
 
 @pytest.fixture(scope="module")
 def synthetic_fleet():
-    from repro.fleet import (
-        FleetSupervisor,
-        heterogeneous_fleet,
-        synthetic_reports,
-    )
+    from repro.fleet import FleetSupervisor, heterogeneous_fleet
+    from tests.fleet_runners import synthetic_reports
 
     return FleetSupervisor(
         heterogeneous_fleet(2, seed=7, small=True),
@@ -252,10 +246,23 @@ def test_legacy_top_level_names_removed():
         ("repro.ipspace.kernels", "merge_sorted_rows"),
         ("repro.stream.state", "BlockCounter"),
         ("repro.ipspace.kernels", "remove_sorted"),
+        ("repro.predict", "BlockRanking"),
+        ("repro.predict.protocol", "BlockRanking"),
+        ("repro.fleet", "synthetic_reports"),
+        ("repro.fleet.supervisor", "synthetic_reports"),
     ],
 )
 def test_removed_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_block_scores_is_the_only_score_table():
+    from repro.stream.state import IncrementalState
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.ipspace.intervals")
+    assert not hasattr(IncrementalState, "score_index")
+    assert not hasattr(IncrementalState, "block_index")
 
 
 def test_test_oracles_are_not_shipped():

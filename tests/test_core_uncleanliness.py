@@ -112,7 +112,7 @@ class TestFromCounts:
             "bots": (np.array([10, 30], dtype=np.uint32), np.array([2, 1])),
             "spam": (np.array([20, 30], dtype=np.uint32), np.array([4, 8])),
         }
-        scores = BlockScores.from_counts(24, per_class, DEFAULT_WEIGHTS)
+        scores = BlockScores.from_counts(32, per_class, DEFAULT_WEIGHTS)
         assert scores.blocks.tolist() == [10, 20, 30]
         assert scores.class_counts["bots"].tolist() == [2, 0, 1]
         assert scores.class_counts["spam"].tolist() == [0, 4, 8]

@@ -20,9 +20,9 @@ from repro.fleet import (
     ShardFeed,
     delivery_checksum,
     heterogeneous_fleet,
-    synthetic_reports,
 )
 from repro.fleet.shard import FLEET_FEED_TAGS
+from tests.fleet_runners import synthetic_reports
 
 
 @pytest.fixture(autouse=True)

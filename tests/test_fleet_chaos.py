@@ -22,9 +22,9 @@ from repro.fleet import (
     FleetFailure,
     FleetSupervisor,
     heterogeneous_fleet,
-    synthetic_reports,
 )
 from repro.obs import metrics as obs_metrics
+from tests.fleet_runners import synthetic_reports
 
 
 @pytest.fixture(autouse=True)

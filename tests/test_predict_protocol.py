@@ -8,9 +8,9 @@ added to the registry later is covered here automatically.
 import numpy as np
 import pytest
 
+from repro.core.uncleanliness import BlockScores
 from repro.predict import (
     BasePredictor,
-    BlockRanking,
     NotFittedError,
     Predictor,
     list_predictors,
@@ -110,7 +110,7 @@ class TestConformance:
     def test_ranking_shape(self, fitted):
         for prefix_len in (16, 24, 32):
             ranking = fitted.score_blocks(prefix_len)
-            assert isinstance(ranking, BlockRanking)
+            assert isinstance(ranking, BlockScores)
             assert ranking.prefix_len == prefix_len
             assert ranking.blocks.dtype == np.uint32
             assert (np.diff(ranking.blocks.astype(np.int64)) > 0).all()
@@ -186,25 +186,31 @@ class TestConformance:
 
 
 class TestBlockRanking:
+    """The score table a predictor ranks by: validation, lookups and
+    the total ranking order."""
+
     def test_rejects_unsorted_blocks(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            BlockRanking(
+            BlockScores(
                 prefix_len=24,
+                class_counts={},
                 blocks=np.array([512, 256], dtype=np.uint32),
                 scores=np.array([0.5, 0.5]),
             )
 
     def test_rejects_misaligned_arrays(self):
         with pytest.raises(ValueError):
-            BlockRanking(
+            BlockScores(
                 prefix_len=24,
+                class_counts={},
                 blocks=np.array([256], dtype=np.uint32),
                 scores=np.array([0.5, 0.1]),
             )
 
     def test_lookup_defaults_to_zero(self):
-        ranking = BlockRanking(
+        ranking = BlockScores(
             prefix_len=24,
+            class_counts={},
             blocks=np.array([0x0A000000], dtype=np.uint32),
             scores=np.array([0.7]),
         )
@@ -216,8 +222,9 @@ class TestBlockRanking:
         np.testing.assert_allclose(looked, [0.7, 0.0])
 
     def test_total_order_breaks_ties_by_block(self):
-        ranking = BlockRanking(
+        ranking = BlockScores(
             prefix_len=24,
+            class_counts={},
             blocks=np.array([256, 512, 768], dtype=np.uint32),
             scores=np.array([0.5, 0.9, 0.5]),
         )
@@ -226,8 +233,9 @@ class TestBlockRanking:
         )
 
     def test_blocklist_threshold_inclusive(self):
-        ranking = BlockRanking(
+        ranking = BlockScores(
             prefix_len=24,
+            class_counts={},
             blocks=np.array([256, 512], dtype=np.uint32),
             scores=np.array([0.5, 0.4]),
         )

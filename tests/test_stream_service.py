@@ -16,10 +16,12 @@ from repro import api
 from repro.cli import main
 from repro.core import folds
 from repro.core.report import DataClass, Report, ReportType
+from repro.core.uncleanliness import BlockScores
 from repro.detect.scan import ScanDetector
 from repro.detect.spam import SpamAggregates
 from repro.engine.store import ArrayCodec, ArtifactStore
-from repro.ipspace.intervals import IntervalIndex
+from repro.ipspace.addr import MAX_ADDRESS, as_int
+from repro.ipspace.cidr import mask_array
 from repro.obs import metrics as obs_metrics
 from repro.sim.timeline import PAPER_WINDOWS
 from repro.stream import StreamConfig, UncleanlinessService, day_batches
@@ -364,6 +366,54 @@ class TestApiFacade:
         with pytest.raises(ValueError, match="not both"):
             api.stream_service(small_scenario, small=True)
 
+    def test_facade_always_checkpoints(self, small_scenario):
+        # Services are shared per stream fingerprint, so a per-call
+        # setting would silently stick to whichever caller came first.
+        with pytest.raises(TypeError):
+            api.stream_service(small_scenario, checkpointing=False)
+
+
+class TestBlocklistMembership:
+    """``is_blocked`` is membership in ``blocklist()`` after every day,
+    at the threshold edges too: a scored block at exactly the threshold
+    is blocked, unscored space never is."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_is_blocked_is_blocklist_membership(self, small_scenario, threshold):
+        # Phishing weighs nothing, so phish-only blocks score exactly 0.0.
+        weights = tuple(
+            (cls, 0.0 if cls == DataClass.PHISHING else weight)
+            for cls, weight in folds.DEFAULT_CLASS_WEIGHTS
+        )
+        service = UncleanlinessService(
+            StreamConfig(
+                window=PAPER_WINDOWS.OCTOBER, threshold=threshold, weights=weights
+            ),
+            checkpointing=False,
+        )
+        feeds = {tag: small_scenario.report(tag) for tag in ("bot", "phish")}
+        unscored = as_int("203.0.113.9")
+        for batch in day_batches(small_scenario.october_traffic, feeds):
+            service.ingest(batch)
+            listed = service.blocklist()
+            probes = {0, MAX_ADDRESS, unscored}
+            for net in service.scores().blocks.tolist():
+                probes.update((net, net + 255, min(net + 256, MAX_ADDRESS)))
+            for probe in sorted(probes):
+                blocked = service.is_blocked(probe)
+                assert blocked == (mask_array([probe], 24)[0] in listed), probe
+                assert not blocked or service.score(probe) >= threshold
+        table = service.scores()
+        assert not service.is_blocked(unscored)
+        if threshold == 0.0:
+            zero = table.blocks[table.scores == 0.0]
+            assert zero.size and service.is_blocked(int(zero[0]))
+        else:
+            assert not any(
+                service.is_blocked(int(net))
+                for net in table.blocks[table.scores < 1.0]
+            )
+
 
 class TestSingleLookups:
     """``score``/``is_blocked``: one recorded lookup each, no array path."""
@@ -395,10 +445,19 @@ class TestSingleLookups:
         def batch_only(*args, **kwargs):
             raise AssertionError("a single lookup took the array path")
 
-        monkeypatch.setattr(IntervalIndex, "lookup", batch_only)
-        monkeypatch.setattr(IntervalIndex, "values_at", batch_only)
+        monkeypatch.setattr(BlockScores, "scores_of", batch_only)
         assert [(service.score(p), service.is_blocked(p)) for p in probes] == expected
         assert expected[1][1] is True and expected[2] == (0.0, False)
+
+    def test_checkpoint_snapshots_hold_no_lookup_views(self, small_scenario):
+        # The store's memory tier keeps every snapshot it is handed; one
+        # sharing the live table would keep that table's views alive.
+        service = api.stream_service(small_scenario)
+        service.score("203.0.113.9")
+        snapshot = service.state.snapshot().scores()
+        assert snapshot is not service.scores()
+        assert "_views" in vars(service.scores())
+        assert "_views" not in vars(snapshot)
 
 
 class TestDayFold:
