@@ -147,7 +147,7 @@ class BlockScores:
 
     def top(self, count: int) -> List[dict]:
         """The ``count`` most unclean blocks, with per-class evidence."""
-        order = np.argsort(self.scores)[::-1][:count]
+        order = np.argsort(self.scores)[::-1][: max(int(count), 0)]
         rows = []
         for idx in order:
             row = {

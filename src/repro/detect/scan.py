@@ -15,9 +15,11 @@ an hour and land in the unknown class of §6 rather than the scan report.
 Evaluation is one mergeable aggregate, :class:`ScanAggregates`, with
 three operations: :meth:`~ScanAggregates.from_flows` packs the
 ``(source, hour)`` group key into one ``uint64``
-(:func:`repro.flows.kernels.pack64`), orders the window with a single
-``np.lexsort`` over ``(packed pair, destination)`` and reads flow and
-failed-flow totals and the distinct ``(source, hour, destination)``
+(:func:`repro.flows.kernels.pack64`), orders the window by
+``(packed pair, destination)`` with
+:func:`~repro.flows.kernels.pair_order` (two ``np.argsort`` passes, the
+second over packed ``(pair run, destination)`` keys) and reads flow
+and failed-flow totals and the distinct ``(source, hour, destination)``
 triples off run boundaries — no row-table ``np.unique(axis=0)`` passes;
 :meth:`~ScanAggregates.merge_all` folds aggregates of any split of a
 log; and :meth:`~ScanAggregates.flagged` applies the thresholds.  Every
@@ -38,6 +40,7 @@ from repro.flows.kernels import (
     distinct_pairs,
     grouped_sum,
     pack64,
+    pair_order,
     pair_run_starts,
     segment_bounds,
     sum_by_key,
@@ -78,9 +81,11 @@ def _sorted_tcp(
     Pair keys pack ``(source, hour - base)``; hours are rebased to the
     window minimum so any real capture packs (the rebased span would
     only overflow after ~490,000 years of traffic, which :func:`pack64`
-    turns into a loud error rather than key aliasing).  The masked
-    columns and the sort permutation die with this frame, before the
-    caller builds its tables.
+    turns into a loud error rather than key aliasing).  Rows equal in
+    both sort columns may come in any order; the caller only sums
+    ``no_ack`` over pair runs.  The masked columns and the sort
+    permutation die with this frame, before the caller builds its
+    tables.
     """
     tcp = flows.protocol == Protocol.TCP
     hours = (flows.start_time[tcp] // _HOUR_SECONDS).astype(np.int64)
@@ -88,7 +93,7 @@ def _sorted_tcp(
     pair_key = pack64(flows.src_addr[tcp], hours - base)
     del hours
     dst = flows.dst_addr[tcp]
-    order = np.lexsort((dst, pair_key))
+    order = pair_order(pair_key, dst)
     no_ack = (flows.tcp_flags[tcp][order] & TCPFlags.ACK) == 0
     return pair_key[order], dst[order], no_ack, base
 
@@ -135,7 +140,8 @@ class ScanAggregates:
 
     @classmethod
     def from_flows(cls, flows: FlowLog) -> "ScanAggregates":
-        """Aggregate any span of flows (one lexsort, run-boundary counts)."""
+        """Aggregate any span of flows (one :func:`pair_order`,
+        run-boundary counts)."""
         pk, dk, no_ack, base = _sorted_tcp(flows)
         starts, flow_totals = segment_bounds(pk)
         # A triple's first row in (pair, dst) order marks one distinct

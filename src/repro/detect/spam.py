@@ -100,7 +100,12 @@ class SpamAggregates:
 
     @classmethod
     def from_flows(cls, flows: FlowLog) -> "SpamAggregates":
-        """Aggregate the SMTP deliveries of any span of flows."""
+        """Aggregate the SMTP deliveries of any span of flows.
+
+        Delivery days (``start_time // 86400``) must lie in
+        ``[0, 2**32)``, as :func:`~repro.flows.kernels.distinct_pairs`
+        requires; a flow stamped before 1970 raises ``ValueError``.
+        """
         smtp = (
             (flows.protocol == Protocol.TCP)
             & (flows.dst_port == _SMTP_PORT)

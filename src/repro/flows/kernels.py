@@ -22,6 +22,9 @@ loop:
   32-bit-ranged columns packed into one ``uint64`` sort key, run
   boundaries of the sorted keys, and exact per-run sums via
   ``np.add.reduceat``;
+* :func:`pair_order` — the ``(key, value)`` row order of
+  ``np.lexsort`` from two ``np.argsort`` passes, the second over a
+  packed ``(key run, value)`` column;
 * :func:`pair_run_starts` / :func:`distinct_pairs` / :func:`sum_by_key`
   — the set-union and grouped-sum steps the mergeable detector
   aggregates fold with.
@@ -46,6 +49,7 @@ __all__ = [
     "pack64",
     "segment_bounds",
     "grouped_sum",
+    "pair_order",
     "pair_run_starts",
     "distinct_pairs",
     "sum_by_key",
@@ -131,10 +135,10 @@ def pack64(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """Pack two 32-bit-ranged columns into one ``uint64`` sort key.
 
     Sorting the packed key is exactly the lexicographic sort on
-    ``(hi, lo)``, so one ``np.sort``/``np.lexsort`` pass replaces a
-    row-table ``np.unique(axis=0)``.  Both inputs must already lie in
-    ``[0, 2**32)``; values outside that range would alias other keys,
-    so they raise.
+    ``(hi, lo)``, so one ``np.sort``/``np.argsort`` pass replaces a
+    two-column ``np.lexsort`` or a row-table ``np.unique(axis=0)``.
+    Both inputs must already lie in ``[0, 2**32)``; values outside that
+    range would alias other keys, so they raise.
     """
     hi = np.asarray(hi)
     lo = np.asarray(lo)
@@ -179,12 +183,35 @@ def grouped_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values, starts)
 
 
+def pair_order(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row order that sorts two parallel columns by ``(keys, values)``.
+
+    Argsorts ``keys`` once, numbers the runs of equal keys, and
+    argsorts the packed ``(run, value)`` column (:func:`pack64`).  The
+    order is that of ``np.lexsort((values, keys))`` except among rows
+    equal in both columns, which no reader of the two columns can tell
+    apart.  ``keys`` may be any integer column; ``values`` must lie in
+    ``[0, 2**32)`` and raise ``ValueError`` otherwise, as :func:`pack64`
+    does.
+    """
+    keys = np.asarray(keys)
+    values = np.asarray(values)
+    if keys.shape != values.shape:
+        raise ValueError("pair_order columns must have the same shape")
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    new_run = np.zeros(sorted_keys.size, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_run[1:])
+    del sorted_keys
+    return by_key[np.argsort(pack64(np.cumsum(new_run), values[by_key]))]
+
+
 def pair_run_starts(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Mask of the first row of every run of equal ``(keys, values)`` rows.
 
     The two parallel columns must already be sorted lexicographically
-    (as by ``np.lexsort((values, keys))``); the masked rows are then the
-    distinct pairs, in sorted order.
+    (as by :func:`pair_order`); the masked rows are then the distinct
+    pairs, in sorted order.
     """
     first = np.empty(keys.size, dtype=bool)
     if keys.size:
@@ -197,8 +224,9 @@ def pair_run_starts(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
 def distinct_pairs(
     keys: np.ndarray, values: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct ``(keys, values)`` rows, sorted lexicographically."""
-    order = np.lexsort((values, keys))
+    """The distinct ``(keys, values)`` rows, sorted lexicographically
+    (ordered by :func:`pair_order`, so ``values`` lie in ``[0, 2**32)``)."""
+    order = pair_order(keys, values)
     keys = keys[order]
     values = values[order]
     first = pair_run_starts(keys, values)

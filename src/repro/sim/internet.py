@@ -425,7 +425,12 @@ class SyntheticInternet:
             if need <= 0:
                 break
             batch = self.sample_hosts(max(need * 2, 64), rng, weights)
-            seen = np.union1d(seen, batch)
+            # Set union by a sort that keeps each run's first row;
+            # np.unique's hash table is far slower on these arrays.
+            merged = np.sort(np.concatenate([seen, batch]))
+            first = np.ones(merged.size, dtype=bool)
+            np.not_equal(merged[1:], merged[:-1], out=first[1:])
+            seen = merged[first]
         if seen.size < count:
             raise RuntimeError("unique host sampling did not converge")
         return rng.choice(seen, size=count, replace=False)

@@ -154,6 +154,18 @@ class TestBadInput:
             table.scores_of(np.asarray([2**32 + 5], dtype=np.int64))
 
 
+class TestTop:
+    @pytest.mark.parametrize("count", [-1, 0, -730])
+    def test_non_positive_count_lists_nothing(self, count):
+        assert ZERO_AND_HIGH.top(count) == []
+
+    def test_count_past_the_end_lists_every_block(self):
+        assert ZERO_AND_HIGH.top(5) == [
+            {"block": "10.1.3.0/24", "score": 0.9, "bots": 1},
+            {"block": "10.1.2.0/24", "score": 0.0, "bots": 0},
+        ]
+
+
 class TestConstruction:
     """Beyond the unsorted and misaligned tables that
     ``tests/test_predict_protocol.py::TestBlockRanking`` rejects and the

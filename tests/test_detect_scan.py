@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.detect.scan import ScanDetector, ScanDetectorConfig
+from repro.detect.scan import ScanAggregates, ScanDetector, ScanDetectorConfig
 from repro.flows.log import FlowBatch, FlowLog
 from repro.flows.record import Protocol, TCPFlags
 from tests.oracles import scan_detect_reference
@@ -219,3 +219,95 @@ class TestKernelMatchesReference:
         detector = ScanDetector()
         assert detector.detect(log).size == 0
         assert scan_detect_reference(detector.config, log).size == 0
+
+
+# -- aggregate vs the lexsort it replaced ---------------------------------
+
+
+def lexsort_aggregates(flows):
+    """``ScanAggregates.from_flows`` written with one ``np.lexsort``."""
+    tcp = flows.protocol == Protocol.TCP
+    hours = (flows.start_time[tcp] // 3600.0).astype(np.int64)
+    base = int(hours.min()) if hours.size else 0
+    pair_key = (flows.src_addr[tcp].astype(np.uint64) << np.uint64(32)) | (
+        (hours - base).astype(np.uint64)
+    )
+    dst = flows.dst_addr[tcp]
+    order = np.lexsort((dst, pair_key))
+    pk, dk = pair_key[order], dst[order]
+    no_ack = (flows.tcp_flags[tcp][order] & TCPFlags.ACK) == 0
+    new_pair = np.ones(pk.size, dtype=bool)
+    new_pair[1:] = pk[1:] != pk[:-1]
+    new_triple = new_pair.copy()
+    new_triple[1:] |= dk[1:] != dk[:-1]
+    pair_id = np.cumsum(new_pair) - 1
+    groups = int(new_pair.sum())
+    return ScanAggregates(
+        base=base,
+        pair_keys=pk[new_pair],
+        flow_totals=np.bincount(pair_id, minlength=groups).astype(np.int64),
+        failed_totals=np.bincount(
+            pair_id[no_ack], minlength=groups
+        ).astype(np.int64),
+        triple_keys=pk[new_triple],
+        triple_dsts=dk[new_triple],
+    )
+
+
+def repeated_triples_log(seed, rows=3000):
+    """Few sources, hours and destinations, so most (source, hour,
+    destination) triples repeat, with ACK drawn per row; some rows UDP."""
+    rng = np.random.default_rng(seed)
+    entries = [
+        (
+            int(rng.integers(1, 6)),
+            int(rng.integers(1000, 1012)),
+            ACKED if rng.random() < 0.5 else TCPFlags.SYN,
+            float(rng.integers(10, 14) * 3600 + rng.integers(0, 3600)),
+            Protocol.TCP if rng.random() < 0.9 else Protocol.UDP,
+        )
+        for _ in range(rows)
+    ]
+    return build_log(entries)
+
+
+def _assert_same_aggregates(got, expected):
+    assert got.base == expected.base
+    for name in ("pair_keys", "flow_totals", "failed_totals",
+                 "triple_keys", "triple_dsts"):
+        column, oracle = getattr(got, name), getattr(expected, name)
+        assert column.dtype == oracle.dtype, name
+        assert np.array_equal(column, oracle), name
+
+
+class TestAggregatesMatchLexsort:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_repeated_triples_with_mixed_acks(self, seed):
+        flows = repeated_triples_log(seed)
+        tcp = flows.protocol == Protocol.TCP
+        rows = np.stack([
+            flows.src_addr[tcp],
+            (flows.start_time[tcp] // 3600.0).astype(np.uint32),
+            flows.dst_addr[tcp],
+            (flows.tcp_flags[tcp] & TCPFlags.ACK).astype(np.uint32),
+        ], axis=1)
+        triples = np.unique(rows[:, :3], axis=0).shape[0]
+        # Triples repeat, and some carry both an ACKed and a no-ACK row.
+        assert triples * 10 < rows.shape[0]
+        assert np.unique(rows, axis=0).shape[0] > triples
+        _assert_same_aggregates(
+            ScanAggregates.from_flows(flows), lexsort_aggregates(flows)
+        )
+
+    def test_empty_and_udp_only(self):
+        udp_only = build_log([(7, 9, TCPFlags.SYN, 0.0, Protocol.UDP)])
+        for flows in (FlowLog.empty(), udp_only):
+            _assert_same_aggregates(
+                ScanAggregates.from_flows(flows), lexsort_aggregates(flows)
+            )
+
+    def test_small_scenario_october_log(self, small_scenario):
+        flows = small_scenario.october_traffic.flows
+        _assert_same_aggregates(
+            ScanAggregates.from_flows(flows), lexsort_aggregates(flows)
+        )

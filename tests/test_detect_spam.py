@@ -78,6 +78,13 @@ class TestDetection:
         assert SpamDetector(config).detect(ten).size == 1
         assert SpamDetector(config).detect(nine).size == 0
 
+    def test_delivery_before_1970_raises(self):
+        # The day table packs days into 32 bits; a negative day would
+        # alias another, so it is refused rather than counted.
+        log = build_log(spam_run(start=-DAY))
+        with pytest.raises(ValueError, match="uint32 range"):
+            SpamDetector().detect(log)
+
     def test_generator_spammers_detected(self, tiny_traffic):
         detected = set(SpamDetector().detect(tiny_traffic.flows).tolist())
         truth = set(tiny_traffic.ground_truth("spammers").tolist())

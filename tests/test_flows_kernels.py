@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flows.kernels import (
+    distinct_pairs,
     grouped_cumsum,
+    pair_order,
     repeat_offsets,
     sample_day_segments,
     segment_first_true,
     segment_ids,
     segment_positions,
 )
+
+_U32_MAX = 2**32 - 1
+_U64_MAX = 2**64 - 1
 
 
 class TestOffsets:
@@ -159,3 +164,73 @@ class TestSegmentFirstTrue:
     def test_empty(self):
         empty = np.asarray([], dtype=np.int64)
         assert segment_first_true(np.asarray([], dtype=bool), empty, empty).size == 0
+
+
+@st.composite
+def key_value_columns(draw):
+    """Parallel ``uint64`` keys and ``uint32`` values drawn from pools of
+    at most four, so rows repeat in one column and in both; the ends of
+    both ranges are common."""
+    key = st.sampled_from([0, _U64_MAX]) | st.integers(0, _U64_MAX)
+    value = st.sampled_from([0, _U32_MAX]) | st.integers(0, _U32_MAX)
+    keys = draw(st.lists(key, min_size=1, max_size=4))
+    values = draw(st.lists(value, min_size=1, max_size=4))
+    rows = draw(
+        st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(values)),
+                 max_size=120)
+    )
+    return (
+        np.asarray([k for k, _ in rows], dtype=np.uint64),
+        np.asarray([v for _, v in rows], dtype=np.uint32),
+    )
+
+
+class TestPairOrder:
+    """``pair_order`` orders both columns exactly as ``np.lexsort`` does."""
+
+    @given(key_value_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_columns_equal_lexsort_columns(self, columns):
+        keys, values = columns
+        order = pair_order(keys, values)
+        expected = np.lexsort((values, keys))
+        assert order.dtype == expected.dtype
+        assert np.array_equal(np.sort(order), np.arange(keys.size))
+        assert np.array_equal(keys[order], keys[expected])
+        assert np.array_equal(values[order], values[expected])
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = (keys[expected][1:] != keys[expected][:-1]) | (
+            values[expected][1:] != values[expected][:-1]
+        )
+        got_keys, got_values = distinct_pairs(keys, values)
+        assert got_keys.dtype == keys.dtype and got_values.dtype == values.dtype
+        assert np.array_equal(got_keys, keys[expected][first])
+        assert np.array_equal(got_values, values[expected][first])
+
+    def test_empty(self):
+        order = pair_order(
+            np.asarray([], dtype=np.uint64), np.asarray([], dtype=np.uint32)
+        )
+        assert order.size == 0
+        assert order.dtype == np.lexsort((np.zeros(0), np.zeros(0))).dtype
+
+    def test_int64_values_in_range(self):
+        # The spam aggregate's day column is int64.
+        keys = np.asarray([5, 3, 5, 3, 5], dtype=np.uint32)
+        days = np.asarray([2, 9, 0, 9, 2], dtype=np.int64)
+        order = pair_order(keys, days)
+        assert keys[order].tolist() == [3, 3, 5, 5, 5]
+        assert days[order].tolist() == [9, 9, 0, 2, 2]
+
+    @pytest.mark.parametrize("bad", [-1, 2**32, _U64_MAX])
+    def test_values_outside_uint32_raise(self, bad):
+        dtype = np.int64 if bad < 0 else np.uint64
+        values = np.asarray([0, bad], dtype=dtype)
+        with pytest.raises(ValueError, match="uint32 range"):
+            pair_order(np.zeros(2, dtype=np.uint64), values)
+        with pytest.raises(ValueError, match="uint32 range"):
+            distinct_pairs(np.zeros(2, dtype=np.uint64), values)
+
+    def test_mismatched_columns_raise(self):
+        with pytest.raises(ValueError, match="same shape"):
+            pair_order(np.zeros(3, dtype=np.uint64), np.zeros(2, dtype=np.uint32))

@@ -135,6 +135,18 @@ class TestLookups:
         assert np.unique(few // 16).size > 8
 
 
+def union1d_sample_unique_hosts(internet, count, rng, max_rounds=12):
+    """``sample_unique_hosts`` as written with ``np.union1d``."""
+    seen = np.asarray([], dtype=np.uint32)
+    for _ in range(max_rounds):
+        need = count - seen.size
+        if need <= 0:
+            break
+        seen = np.union1d(seen, internet.sample_hosts(max(need * 2, 64), rng))
+    assert seen.size >= count
+    return rng.choice(seen, size=count, replace=False)
+
+
 class TestSampling:
     def test_sample_hosts_live(self, tiny_internet, rng):
         sample = tiny_internet.sample_hosts(500, rng)
@@ -148,6 +160,29 @@ class TestSampling:
         sample = tiny_internet.sample_unique_hosts(count, rng)
         assert sample.size == count
         assert np.unique(sample).size == count
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("share", [0.3, 0.8])
+    def test_sample_unique_hosts_equals_union1d_loop(
+        self, tiny_internet, seed, share, monkeypatch
+    ):
+        count = int(tiny_internet.total_population * share)
+        expected = union1d_sample_unique_hosts(
+            tiny_internet, count, np.random.default_rng(seed)
+        )
+        rounds = []
+        sample_hosts = tiny_internet.sample_hosts
+
+        def counted(*args, **kwargs):
+            rounds.append(args)
+            return sample_hosts(*args, **kwargs)
+
+        monkeypatch.setattr(tiny_internet, "sample_hosts", counted)
+        got = tiny_internet.sample_unique_hosts(count, np.random.default_rng(seed))
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        # Drawing 80% of the hosts takes more than one round, 30% one.
+        assert (len(rounds) > 1) == (share > 0.5)
 
     def test_sample_unique_too_many(self, tiny_internet, rng):
         with pytest.raises(ValueError):

@@ -350,6 +350,12 @@ class TestApiFacade:
                 row["score"], abs=5e-5
             )
 
+    def test_top_blocks_of_a_non_positive_count_are_empty(self, small_scenario):
+        service = api.stream_service(small_scenario)
+        assert len(service.scores()) > 1
+        assert service.top_blocks(-1) == []
+        assert service.top_blocks(0) == []
+
     def test_is_blocked_follows_threshold(self, small_scenario):
         service = api.stream_service(small_scenario)
         scores = service.scores()
