@@ -57,6 +57,7 @@ from repro.core.density import density_test as _density_test
 from repro.core.prediction import PredictionResult
 from repro.core.prediction import prediction_test as _prediction_test
 from repro.core.report import Report
+from repro.core.sampling import clear_null_memo as _clear_null_memo
 from repro.core.sampling import monte_carlo_rng
 from repro.core.scenario import PaperScenario, ScenarioConfig
 from repro.engine.fingerprint import fingerprint as _fingerprint
@@ -192,7 +193,8 @@ def _scenario_for(config: Optional[ScenarioConfig] = None) -> PaperScenario:
 
 
 def clear_scenario_cache() -> None:
-    """Drop the shared scenario and stream-service handles (tests).
+    """Drop the shared scenario and stream-service handles, the cached
+    evaluations and the memoised Monte-Carlo nulls (tests).
 
     Stage artifacts in the engine store are untouched; reset or clear
     the store itself (:func:`repro.engine.reset_default_store`) to force
@@ -201,6 +203,7 @@ def clear_scenario_cache() -> None:
     _SCENARIOS.clear()
     _SERVICES.clear()
     _EVALUATIONS.clear()
+    _clear_null_memo()
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,9 @@ def control_density_distribution(
     """Monte-Carlo block-count distributions over random control subsets.
 
     Returns ``{n: array of |C_n(subset)| over all subsets}``, every
-    subset and prefix counted by one :func:`block_counts_2d` call.
+    subset and prefix counted by one :func:`block_counts_2d` call.  The
+    null is memoised by its prefixes (see :func:`monte_carlo`), so a
+    second test of the same control, size and rng state reuses it.
     """
     prefixes = tuple(prefixes)
     matrix = monte_carlo(
@@ -126,6 +128,7 @@ def control_density_distribution(
         subsets,
         rng,
         statistic=lambda trials: block_counts_2d(trials, prefixes),
+        statistic_key=("block_counts", prefixes),
     )
     return {n: matrix[:, column] for column, n in enumerate(prefixes)}
 

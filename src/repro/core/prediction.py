@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core import cidr as rcidr
 from repro.core.report import Report
-from repro.core.sampling import monte_carlo
+from repro.core.sampling import content_digest, monte_carlo
 from repro.core.stats import BoxplotSummary, exceedance_fraction, summarize
 from repro.ipspace.kernels import intersection_counts_2d
 
@@ -118,7 +118,9 @@ def control_intersection_distribution(
     rival model in a head-to-head comparison (the distribution depends
     only on the present blocks, the control report and the cardinality
     budget — never on the predictor).  Every subset and prefix is
-    counted by one :func:`intersection_counts_2d` call.
+    counted by one :func:`intersection_counts_2d` call.  The null is
+    memoised by its prefixes and the digest of ``present_blocks`` (see
+    :func:`monte_carlo`), which extends that sharing across calls.
     """
     prefixes = tuple(prefixes)
     if len(present_blocks) != len(prefixes):
@@ -136,6 +138,11 @@ def control_intersection_distribution(
         rng,
         statistic=lambda trials: intersection_counts_2d(
             trials, present_blocks, prefixes
+        ),
+        statistic_key=(
+            "intersection_counts",
+            prefixes,
+            content_digest(*present_blocks),
         ),
     )
     return {n: matrix[:, column] for column, n in enumerate(prefixes)}

@@ -412,12 +412,22 @@ class SyntheticInternet:
     ) -> np.ndarray:
         """Sample until ``count`` *distinct* host addresses are collected.
 
-        Raises if the population cannot supply that many distinct hosts.
+        Each of the first ``max_rounds`` rounds draws ``max(2 * need,
+        64)`` hosts with replacement (:meth:`sample_hosts`) and keeps the
+        new ones.  Should that leave ``need`` hosts missing, they are
+        drawn from the hosts not yet seen by :meth:`_sample_unseen`, in
+        the order further rounds would have found them, but in bounded
+        time however skewed the weights.  Raises ``ValueError``, before
+        any draw, if the hosts the weights reach are fewer than
+        ``count``.
         """
-        if count > self.total_population:
+        reach = self.population.astype(np.int64)
+        if weights is not None:
+            reach = reach[np.asarray(weights) > 0]
+        if count > int(reach.sum()):
             raise ValueError(
-                f"requested {count} unique hosts but population is "
-                f"{self.total_population}"
+                f"requested {count} unique hosts but the weights reach "
+                f"{int(reach.sum())} of {self.total_population}"
             )
         seen = np.asarray([], dtype=np.uint32)
         for _ in range(max_rounds):
@@ -432,8 +442,42 @@ class SyntheticInternet:
             np.not_equal(merged[1:], merged[:-1], out=first[1:])
             seen = merged[first]
         if seen.size < count:
-            raise RuntimeError("unique host sampling did not converge")
+            missing = count - seen.size
+            seen = np.concatenate(
+                [seen, self._sample_unseen(missing, seen, rng, weights)]
+            )
         return rng.choice(seen, size=count, replace=False)
+
+    def _sample_unseen(
+        self,
+        need: int,
+        seen: np.ndarray,
+        rng: np.random.Generator,
+        weights: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """``need`` distinct live hosts outside the sorted ``seen``.
+
+        A host's rate is its /24's weight over the /24's population, in
+        proportion to the chance :meth:`sample_hosts` picks it in one
+        draw.  Sampling with replacement meets new hosts in the order of
+        independent exponential arrival times at those rates, so the
+        ``need`` earliest of one such draw per unseen host are the hosts
+        further rounds would have added.
+        """
+        if weights is None:
+            weights = self.population
+        weights = np.asarray(weights, dtype=np.float64)
+        nets = np.flatnonzero(weights > 0)
+        sizes = self.population[nets].astype(np.int64)
+        net_idx = np.repeat(nets, sizes)
+        starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        slots = np.arange(net_idx.size) - starts
+        hosts = self.net24[net_idx] + self.host_offsets(slots)
+        unseen = np.isin(hosts, seen, assume_unique=True, invert=True)
+        hosts, net_idx = hosts[unseen], net_idx[unseen]
+        rates = weights[net_idx] / self.population[net_idx]
+        arrivals = rng.exponential(size=rates.size) / rates
+        return hosts[np.argpartition(arrivals, need - 1)[:need]]
 
     # -- weights for the actors ----------------------------------------------------
 

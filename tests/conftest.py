@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core import sampling
 from repro.core.scenario import ScenarioConfig
 from repro.core.stages import reset_scenario_engine
 from repro.engine.store import reset_default_store
@@ -60,6 +61,23 @@ def artifact_cache(tmp_path_factory):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def trial_draws(monkeypatch):
+    """The ``(size, count)`` of every Monte-Carlo trial matrix drawn
+    during the test, from an empty null memo on."""
+    calls = []
+    draw_trials = sampling.draw_trials
+
+    def counted(control, size, count, entropy, spawn_key):
+        calls.append((size, count))
+        return draw_trials(control, size, count, entropy, spawn_key)
+
+    monkeypatch.setattr(sampling, "draw_trials", counted)
+    sampling.clear_null_memo()
+    yield calls
+    sampling.clear_null_memo()
 
 
 @pytest.fixture(scope="session")

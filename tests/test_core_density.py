@@ -11,6 +11,7 @@ from repro.core.density import (
     naive_density_distribution,
 )
 from repro.core.report import Report
+from repro.core.sampling import clear_null_memo
 
 
 def clustered_report(tag="clustered", blocks=4, per_block=50):
@@ -124,8 +125,21 @@ class TestDensityTest:
             clustered_report(), scattered_control(), np.random.default_rng(1),
             prefixes=(20, 24), subsets=10,
         )
+        # Forget the memoised null, so the second call draws it again.
+        clear_null_memo()
         result2 = density_test(
             clustered_report(), scattered_control(), np.random.default_rng(1),
             prefixes=(20, 24), subsets=10,
         )
         assert result1.control[24].median == result2.control[24].median
+
+    def test_repeat_test_reuses_the_null(self, trial_draws):
+        results = [
+            density_test(
+                clustered_report(), scattered_control(),
+                np.random.default_rng(1), prefixes=(20, 24), subsets=10,
+            )
+            for _ in range(2)
+        ]
+        assert len(trial_draws) == 1
+        assert results[0] == results[1]

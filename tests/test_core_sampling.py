@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
+from repro import api
+from repro.core import cidr as rcidr
+from repro.core import sampling
 from repro.core.blocking import monte_carlo_covered_counts
+from repro.core.density import control_density_distribution
+from repro.core.prediction import control_intersection_distribution
 from repro.core.report import Report
 from repro.core.sampling import (
+    NULL_MEMO_SIZE,
+    clear_null_memo,
     empirical_subsets,
     monte_carlo,
     naive_sample,
@@ -15,6 +22,7 @@ from repro.ipspace.addr import first_octet
 from repro.ipspace.iana import allocated_octets
 from repro.ipspace.kernels import block_counts_2d
 from repro.ipspace.reserved import reserved_mask
+from repro.obs import metrics as obs_metrics
 
 
 class TestNaiveSample:
@@ -165,6 +173,155 @@ class TestMonteCarloIgnoresStore:
             reset_default_store()
         assert np.array_equal(values_b, fresh_b)
         assert not np.array_equal(values_a, values_b)
+
+
+def null_hits():
+    return obs_metrics.registry().counter("mc.null_hits").value
+
+
+def density_null(control, seed=11, size=200, count=12, prefixes=(16, 24)):
+    columns = control_density_distribution(
+        control, size, prefixes, count, np.random.default_rng(seed)
+    )
+    return np.column_stack([columns[n] for n in prefixes])
+
+
+def intersection_null(
+    control, seed=11, size=200, count=12, prefixes=(16, 24), present_step=5
+):
+    present = Report.from_addresses(
+        "present", control.addresses[::present_step]
+    )
+    columns = control_intersection_distribution(
+        tuple(rcidr.cidr_set(present, n) for n in prefixes),
+        control, size, count, np.random.default_rng(seed), prefixes,
+    )
+    return np.column_stack([columns[n] for n in prefixes])
+
+
+class TestNullMemo:
+    """``monte_carlo`` memoises a named statistic's null on its
+    content, never on tags, and never changes what a draw returns."""
+
+    def test_hit_equals_a_fresh_draw(self, wide_control, trial_draws):
+        drawn = density_null(wide_control)
+        hits = null_hits()
+        reused = density_null(wide_control)
+        assert len(trial_draws) == 1
+        assert null_hits() == hits + 1
+        assert np.array_equal(reused, drawn)
+        clear_null_memo()
+        assert np.array_equal(density_null(wide_control), drawn)
+        assert len(trial_draws) == 2
+
+    def test_hit_leaves_the_generator_as_a_miss_does(
+        self, wide_control, trial_draws
+    ):
+        rngs = [np.random.default_rng(11) for _ in range(2)]
+        for rng in rngs:
+            control_density_distribution(wide_control, 200, (16, 24), 12, rng)
+        assert len(trial_draws) == 1
+        # The hit took the same 16-byte root draw as the miss.
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        nulls = [
+            control_density_distribution(wide_control, 150, (16, 24), 12, rng)
+            for rng in rngs
+        ]
+        assert len(trial_draws) == 2
+        assert np.array_equal(nulls[0][24], nulls[1][24])
+
+    @pytest.mark.parametrize(
+        "null,change",
+        [
+            (density_null, {"size": 201}),
+            (density_null, {"count": 13}),
+            (density_null, {"prefixes": (16, 25)}),
+            (density_null, {"seed": 12}),
+            (intersection_null, {"size": 201}),
+            (intersection_null, {"count": 13}),
+            (intersection_null, {"prefixes": (16, 25)}),
+            (intersection_null, {"present_step": 6}),
+            (intersection_null, {"seed": 12}),
+        ],
+        ids=[
+            "density-size", "density-count", "density-prefixes",
+            "density-seed",
+            "intersection-size", "intersection-count", "intersection-prefixes",
+            "intersection-present", "intersection-seed",
+        ],
+    )
+    def test_key_separates(self, wide_control, trial_draws, null, change):
+        null(wide_control)
+        null(wide_control, **change)
+        assert len(trial_draws) == 2
+        null(wide_control)
+        null(wide_control, **change)
+        assert len(trial_draws) == 2
+
+    def test_key_separates_controls_of_one_tag(
+        self, wide_control, trial_draws
+    ):
+        # Equal tag, size and present blocks: only the addresses differ.
+        addresses = wide_control.addresses
+        present = Report.from_addresses("present", addresses[::5])
+        blocks = tuple(rcidr.cidr_set(present, n) for n in (16, 24))
+        nulls = []
+        for start in (0, 1):
+            control = Report.from_addresses("control", addresses[start::2])
+            nulls.append(density_null(control))
+            control_intersection_distribution(
+                blocks, control, 200, 12, np.random.default_rng(11), (16, 24)
+            )
+        assert len(trial_draws) == 4
+        assert not np.array_equal(nulls[0], nulls[1])
+
+    def test_density_and_intersection_keys_differ(
+        self, wide_control, trial_draws
+    ):
+        density_null(wide_control)
+        intersection_null(wide_control)
+        assert len(trial_draws) == 2
+
+    def test_unnamed_statistics_are_not_memoised(
+        self, wide_control, trial_draws
+    ):
+        for _ in range(2):
+            monte_carlo(
+                wide_control, 50, 4, np.random.default_rng(3), host_counts
+            )
+        assert len(trial_draws) == 2
+
+    def test_results_are_read_only(self, wide_control, trial_draws):
+        memoised = density_null(wide_control)
+        columns = control_density_distribution(
+            wide_control, 200, (16, 24), 12, np.random.default_rng(11)
+        )
+        unnamed = monte_carlo(
+            wide_control, 50, 4, np.random.default_rng(3), host_counts
+        )
+        for values in (columns[24], unnamed):
+            with pytest.raises(ValueError):
+                values[0] = -1.0
+        assert np.array_equal(density_null(wide_control), memoised)
+
+    def test_memo_is_bounded(self, wide_control, trial_draws):
+        seeds = range(NULL_MEMO_SIZE + 3)
+        for seed in seeds:
+            density_null(wide_control, seed=seed, size=20, count=2)
+        assert len(sampling._NULLS) == NULL_MEMO_SIZE
+        density_null(wide_control, seed=seeds[-1], size=20, count=2)
+        assert len(trial_draws) == len(seeds)
+        # The oldest entry went first.
+        density_null(wide_control, seed=seeds[0], size=20, count=2)
+        assert len(trial_draws) == len(seeds) + 1
+
+    def test_clear_scenario_cache_empties_the_memo(
+        self, wide_control, trial_draws
+    ):
+        density_null(wide_control)
+        api.clear_scenario_cache()
+        density_null(wide_control)
+        assert len(trial_draws) == 2
 
 
 class TestSpawnedSeedSequences:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import api
+from repro.core.sampling import clear_null_memo, monte_carlo_rng
 from repro.experiments import (
     ablation,
     figure2,
@@ -116,6 +118,50 @@ class TestFigure5:
             small_scenario, np.random.default_rng(seed ^ 0xC1D), subsets=20
         )
         assert figure5.format_result(default) == figure5.format_result(cli)
+
+
+def _figure(module, **kwargs):
+    def run(scenario):
+        rng = monte_carlo_rng(scenario.config.seed)
+        return module.format_result(module.run(scenario, rng, **kwargs))
+
+    return run
+
+
+def _compare(scenario):
+    comparison = api.compare(scenario, subsets=20)
+    return render_table(comparison.summary_table()), comparison.auc_ranking()
+
+
+class TestNullsDrawnOncePerProcess:
+    """A reproduction gives every experiment a fresh Monte-Carlo rng, so
+    Figure 3's bot panel repeats Figure 2's null and the comparison
+    repeats Figure 4's first.  Each is drawn once, and the outputs equal
+    those of a run that draws it again."""
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (_figure(figure2, subsets=20, naive_subsets=5),
+             _figure(figure3, subsets=20)),
+            (_figure(figure4, subsets=20), _compare),
+        ],
+        ids=["figure2-figure3", "figure4-compare"],
+    )
+    def test_second_step_reuses_the_first_null(
+        self, small_scenario, trial_draws, first, second
+    ):
+        outputs, counts = [], []
+        for clear_between in (False, True):
+            api.clear_scenario_cache()
+            trial_draws.clear()
+            before = first(small_scenario)
+            if clear_between:
+                clear_null_memo()
+            outputs.append((before, second(small_scenario)))
+            counts.append(len(trial_draws))
+        assert outputs[0] == outputs[1]
+        assert counts[1] - counts[0] == 1
 
 
 class TestTable1:

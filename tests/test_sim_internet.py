@@ -184,11 +184,67 @@ class TestSampling:
         # Drawing 80% of the hosts takes more than one round, 30% one.
         assert (len(rounds) > 1) == (share > 0.5)
 
+    @pytest.mark.parametrize("share", [0.85, 0.9, 1.0])
+    def test_sample_unique_hosts_past_the_rounds(
+        self, tiny_internet, share, monkeypatch
+    ):
+        # Twelve rounds of 2 * need draws leave hosts missing at these
+        # shares; the rest come from the hosts not yet seen.
+        count = int(tiny_internet.total_population * share)
+        missing = []
+        sample_unseen = tiny_internet._sample_unseen
+
+        def counted(need, *args):
+            missing.append(need)
+            return sample_unseen(need, *args)
+
+        monkeypatch.setattr(tiny_internet, "_sample_unseen", counted)
+        sample = tiny_internet.sample_unique_hosts
+        got = sample(count, np.random.default_rng(4))
+        assert missing and missing[0] > 0
+        assert got.size == count
+        assert np.unique(got).size == count
+        nets = (got & np.uint32(0xFFFFFF00)).astype(np.uint32)
+        index = np.searchsorted(tiny_internet.net24, nets)
+        assert np.array_equal(tiny_internet.net24[index], nets)
+        slots = (got & np.uint32(0xFF)) - 1
+        # Slot k sits at offset 1 + 167k mod 254: invert the stride.
+        slot = (slots.astype(np.int64) * pow(167, -1, 254)) % 254
+        assert (slot < tiny_internet.population[index]).all()
+        assert np.array_equal(got, sample(count, np.random.default_rng(4)))
+
+    def test_sample_unique_hosts_every_weighted_host(self, tiny_internet):
+        # Skewed weights with half the /24s at zero: every host the
+        # weights reach, and none they do not.
+        weights = tiny_internet.compromise_weights(affinity=2.0)
+        weights[::2] = 0.0
+        reach = int(tiny_internet.population[weights > 0].sum())
+        got = tiny_internet.sample_unique_hosts(
+            reach, np.random.default_rng(5), weights
+        )
+        assert np.unique(got).size == reach
+        index = np.searchsorted(
+            tiny_internet.net24, got & np.uint32(0xFFFFFF00)
+        )
+        assert (weights[index] > 0).all()
+
     def test_sample_unique_too_many(self, tiny_internet, rng):
         with pytest.raises(ValueError):
             tiny_internet.sample_unique_hosts(
                 tiny_internet.total_population + 1, rng
             )
+
+    def test_sample_unique_beyond_weight_reach_fails_before_drawing(
+        self, tiny_internet
+    ):
+        weights = tiny_internet.population.astype(np.float64)
+        weights[::2] = 0.0
+        reach = int(tiny_internet.population[weights > 0].sum())
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="reach"):
+            tiny_internet.sample_unique_hosts(reach + 1, rng, weights)
+        assert rng.bit_generator.state == state
 
     def test_sample_invalid_count(self, tiny_internet, rng):
         with pytest.raises(ValueError):

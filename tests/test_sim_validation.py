@@ -125,12 +125,32 @@ def test_import_leaves_scipy_unloaded_until_a_check_runs():
         assert "scipy.stats" in sys.modules
         """
     )
+    proc = _run_with_src(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_numpy_random_with_the_program():
+    # NumPy loads numpy.random on first use; the package import loads
+    # it, so that first use does not fall inside a timed Monte Carlo.
+    script = textwrap.dedent(
+        """
+        import sys
+        import repro.api
+        assert "numpy.random" in sys.modules, "numpy.random not loaded"
+        assert "scipy" not in sys.modules, "import repro.api loaded scipy"
+        """
+    )
+    proc = _run_with_src(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _run_with_src(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this tree."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True
     )
-    assert proc.returncode == 0, proc.stderr
